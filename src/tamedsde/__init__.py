@@ -24,11 +24,6 @@ from .schemes import (
     milstein_correction,
     require_supported,
     step_function,
-    step_euler_maruyama,
-    step_semi_tamed_euler,
-    step_semi_tamed_milstein,
-    step_tamed_euler,
-    step_tamed_milstein,
     tame,
 )
 from .analysis import (
@@ -75,11 +70,6 @@ __all__ = [
     "require_supported",
     "step_function",
     "milstein_correction",
-    "step_euler_maruyama",
-    "step_tamed_euler",
-    "step_semi_tamed_euler",
-    "step_tamed_milstein",
-    "step_semi_tamed_milstein",
     "ConvergenceReport",
     "PowerLawFit",
     "MomentCurve",

@@ -25,14 +25,14 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .model import EvaluationError, SdeProblem, drift_full
-from .paths import _draw_increments
-from .schemes import SchemeKind, require_supported, step_function
+from .paths import _coarsen_increments, _draw_increments
+from .schemes import SchemeKind, _propagate, require_supported, step_function
 
 __all__ = [
     "CHUNK_PATHS",
@@ -75,6 +75,25 @@ def _steps_for(horizon: float, stepsize: float) -> int:
     return steps
 
 
+def _nested_steps(
+    horizon: float, stepsizes: Sequence[float], reference_steps: Optional[int]
+) -> tuple[list[int], int]:
+    """Grid steps per stepsize and the reference step count they all nest in.
+
+    ``reference_steps`` defaults to eight times the finest grid.
+    """
+    steps_list = [_steps_for(horizon, h) for h in stepsizes]
+    if reference_steps is None:
+        reference_steps = 8 * max(steps_list)
+    for h, steps in zip(stepsizes, steps_list):
+        if reference_steps % steps != 0:
+            raise ValueError(
+                f"stepsize {h} ({steps} steps) does not nest in the reference "
+                f"grid of {reference_steps} steps"
+            )
+    return steps_list, reference_steps
+
+
 def _chunk_ranges(paths: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + CHUNK_PATHS, paths)) for lo in range(0, paths, CHUNK_PATHS)]
 
@@ -104,22 +123,16 @@ def _run_chunks(worker: Callable, paths: int, threads: int) -> list:
 
 
 def _batch_endpoints(
-    problem: SdeProblem, scheme: SchemeKind, increments: np.ndarray, h: float
+    problem: SdeProblem,
+    scheme: SchemeKind,
+    increments: np.ndarray,
+    h: float,
+    observe: Optional[Callable] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Integrate a (batch, steps, m) block; return terminal states and a
-    blow-up mask. Blown paths are frozen to the NaN sentinel."""
-    step_fn = step_function(scheme)
-    batch = increments.shape[0]
-    x = np.tile(problem.initial_value, (batch, 1))
-    alive = np.ones(batch, dtype=bool)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(increments.shape[1]):
-            x = step_fn(problem, x, increments[:, n, :], h)
-            finite = np.all(np.isfinite(x), axis=1)
-            if not np.all(finite):
-                x[~finite] = np.nan
-                alive &= finite
-    return x, ~alive
+    blow-up mask. Blown paths are frozen to the NaN sentinel; ``observe``
+    is passed on to :func:`schemes._propagate`."""
+    return _propagate(problem, step_function(scheme), increments, h, observe)
 
 
 def _batch_grid_moments(
@@ -135,33 +148,17 @@ def _batch_grid_moments(
     count of paths still finite. Dead paths stop contributing from the
     step they blow up.
     """
-    for p in powers:
-        if p not in (2, 4, 6):
-            raise ValueError(f"moment order must be one of 2, 4, 6; got {p}")
-    step_fn = step_function(scheme)
-    batch, n_steps = increments.shape[0], increments.shape[1]
-    x = np.tile(problem.initial_value, (batch, 1))
-    alive = np.ones(batch, dtype=bool)
+    n_steps = increments.shape[1]
     sums = {p: np.zeros(n_steps + 1) for p in powers}
     counts = np.zeros(n_steps + 1, dtype=np.int64)
 
-    sq = np.sum(x * x, axis=1)
-    counts[0] = batch
-    for p in powers:
-        sums[p][0] = np.sum(sq ** (p // 2))
+    def observe(n, x, alive):
+        live_sq = np.sum(x * x, axis=1)[alive]
+        counts[n] = live_sq.size
+        for p in powers:
+            sums[p][n] = np.sum(live_sq ** (p // 2))
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(n_steps):
-            x = step_fn(problem, x, increments[:, n, :], h)
-            finite = np.all(np.isfinite(x), axis=1)
-            if not np.all(finite):
-                x[~finite] = np.nan
-                alive &= finite
-            sq = np.sum(x * x, axis=1)
-            live_sq = sq[alive]
-            counts[n + 1] = live_sq.size
-            for p in powers:
-                sums[p][n + 1] = np.sum(live_sq ** (p // 2))
+    _batch_endpoints(problem, scheme, increments, h, observe)
     return sums, counts
 
 
@@ -251,15 +248,7 @@ def strong_error_table(
     hs = np.asarray(sorted(set(float(h) for h in stepsizes), reverse=True))
     if hs.size == 0:
         raise ValueError("need at least one stepsize")
-    steps_list = [_steps_for(problem.horizon, h) for h in hs]
-    if reference_steps is None:
-        reference_steps = 8 * max(steps_list)
-    for h, steps in zip(hs, steps_list):
-        if reference_steps % steps != 0:
-            raise ValueError(
-                f"stepsize {h} ({steps} steps) does not nest in the reference "
-                f"grid of {reference_steps} steps"
-            )
+    steps_list, reference_steps = _nested_steps(problem.horizon, hs, reference_steps)
     h_ref = problem.horizon / reference_steps
     n_h = hs.size
     n_s = len(scheme_kinds)
@@ -275,8 +264,7 @@ def strong_error_table(
         # gap overflows; that is honest data, not a warning condition
         with np.errstate(over="ignore", invalid="ignore"):
             for ih, steps in enumerate(steps_list):
-                factor = reference_steps // steps
-                coarse = inc.reshape(block, steps, factor, m).sum(axis=2)
+                coarse = _coarsen_increments(inc, reference_steps // steps)
                 h = problem.horizon / steps
                 for ks, kind in enumerate(scheme_kinds):
                     final, blown = _batch_endpoints(problem, kind, coarse, h)
@@ -552,6 +540,11 @@ class StabilityThreshold:
     h_star: float
 
 
+def _ratio_or_inf(numerator: float, denominator: float) -> float:
+    """``numerator / denominator`` for a positive numerator; +inf at a zero denominator."""
+    return numerator / denominator if denominator > 0 else math.inf
+
+
 def stability_threshold(params: StabilityParams) -> StabilityThreshold:
     """Largest stepsize region (0, h*) with provably contracting moments.
 
@@ -559,14 +552,14 @@ def stability_threshold(params: StabilityParams) -> StabilityThreshold:
     ``min((2v - v_bar)/(2 K v), 2v/((2K + v_bar) v_bar))``, with the first
     branch vacuous (+inf) when K = 0. ``h2`` constrains the diffusion and
     correction load: ``(2 rho - theta^2) / ((m^2/4)(m^2+m) beta + K)``,
-    vacuous when that denominator is zero.
+    vacuous when that denominator is zero. A denominator that underflows to
+    zero (e.g. a subnormal K) gives +inf, the correctly rounded bound.
     """
     two_v = 2.0 * params.v
-    if params.lip_K > 0:
-        h1_first = (two_v - params.v_bar) / (2.0 * params.lip_K * params.v)
-    else:
-        h1_first = math.inf
-    h1_second = two_v / ((2.0 * params.lip_K + params.v_bar) * params.v_bar)
+    h1_first = _ratio_or_inf(two_v - params.v_bar, 2.0 * params.lip_K * params.v)
+    h1_second = _ratio_or_inf(
+        two_v, (2.0 * params.lip_K + params.v_bar) * params.v_bar
+    )
     h1 = min(h1_first, h1_second)
 
     load = params.correction_lipschitz_load
@@ -658,7 +651,6 @@ class StabilityReport:
     entries: list[StabilityCurveEntry]
     params: Optional[StabilityParams] = None
     threshold: Optional[StabilityThreshold] = None
-    gamma_of_h: Optional[Callable[[float], float]] = field(default=None, repr=False)
 
 
 def stability_study(
@@ -694,11 +686,7 @@ def stability_study(
                 StabilityCurveEntry(scheme=kind, stepsize=float(h), curve=curve)
             )
     if params is not None:
-        thr = stability_threshold(params)
         return StabilityReport(
-            entries=entries,
-            params=params,
-            threshold=thr,
-            gamma_of_h=lambda h: decay_rate(params, h),
+            entries=entries, params=params, threshold=stability_threshold(params)
         )
     return StabilityReport(entries=entries)

@@ -48,6 +48,8 @@ import numpy as np
 
 from .analysis import (
     StabilityParams,
+    _nested_steps,
+    _steps_for,
     check_dissipativity,
     decay_rate,
     stability_study,
@@ -342,27 +344,15 @@ def _sample_points(problem, cfg: ExperimentConfig):
     )
 
 
-def _grid_steps(cfg: ExperimentConfig, problem, h: float) -> int:
-    ratio = problem.horizon / h
-    steps = int(round(ratio))
-    if steps < 1 or abs(ratio - steps) > 1e-9 * max(1.0, ratio):
-        raise ConfigError(
-            f"{cfg.anchor('stepsizes')}: stepsize {h} does not divide "
-            f"the horizon {problem.horizon} evenly"
-        )
-    return steps
-
-
 def _validate_grid(cfg: ExperimentConfig, problem) -> None:
-    steps = [_grid_steps(cfg, problem, h) for h in cfg.stepsizes]
-    if cfg.kind == "converge":
-        reference = cfg.reference_steps or 8 * max(steps)
-        for h, n in zip(cfg.stepsizes, steps):
-            if reference % n != 0:
-                raise ConfigError(
-                    f"{cfg.anchor('stepsizes')}: stepsize {h} ({n} steps) does "
-                    f"not nest in the reference grid of {reference} steps"
-                )
+    try:
+        if cfg.kind == "converge":
+            _nested_steps(problem.horizon, cfg.stepsizes, cfg.reference_steps)
+        else:
+            for h in cfg.stepsizes:
+                _steps_for(problem.horizon, h)
+    except ValueError as exc:
+        raise _fail(cfg, "stepsizes", str(exc)) from None
 
 
 def _run_converge(cfg: ExperimentConfig, out_dir: str, threads: int) -> list[str]:
@@ -481,12 +471,13 @@ def _run_stability(cfg: ExperimentConfig, out_dir: str, threads: int) -> list[st
 
 def _run_simulate(cfg: ExperimentConfig, out_dir: str) -> list[str]:
     problem = builtin_problem(cfg.model, horizon=cfg.horizon)
+    _validate_grid(cfg, problem)
     written = []
     header = "t," + ",".join(f"x_{k + 1}" for k in range(problem.dim_state))
     for name in cfg.schemes:
         kind = SchemeKind.from_name(name)
         for h in cfg.stepsizes:
-            n_steps = _grid_steps(cfg, problem, h)
+            n_steps = _steps_for(problem.horizon, h)
             for k in range(cfg.paths):
                 bundle = generate_paths(
                     cfg.seed, k, n_steps, problem.dim_noise, problem.horizon

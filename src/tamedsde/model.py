@@ -212,12 +212,20 @@ def _fd_levy_product(
     eps = FD_RELATIVE_STEP * np.maximum(1.0, norm_x)
     upper = np.asarray(problem.diffusion_column(x + eps * direction, j2), dtype=np.float64)
     lower = np.asarray(problem.diffusion_column(x - eps * direction, j2), dtype=np.float64)
-    if not (np.all(np.isfinite(upper)) and np.all(np.isfinite(lower))):
-        raise EvaluationError(
-            f"finite-difference evaluation of the diffusion derivative product "
-            f"hit a non-finite value on problem {problem.label!r}"
-        )
     return (upper - lower) / (2.0 * eps)
+
+
+def _levy_product(problem: SdeProblem, x: np.ndarray, j1: int, j2: int) -> np.ndarray:
+    """``(L^j1 g_j2)(x)`` without index or finiteness checks.
+
+    The step kernel uses this: on a path that is blowing up, a non-finite
+    value flows into the state and is counted as a blow-up.
+    """
+    if problem.diffusion_derivative_product is not None:
+        return np.asarray(
+            problem.diffusion_derivative_product(x, j1, j2), dtype=np.float64
+        )
+    return _fd_levy_product(problem, x, j1, j2)
 
 
 def levy_product_coefficient(
@@ -227,15 +235,22 @@ def levy_product_coefficient(
 
     Uses the problem's closed form when present, otherwise the central
     finite-difference fallback. Noise indices are 0-based.
+
+    Raises
+    ------
+    EvaluationError
+        If the finite-difference fallback hits a non-finite value.
     """
     _check_noise_index(problem, j1, "j1")
     _check_noise_index(problem, j2, "j2")
-    x = np.asarray(x, dtype=np.float64)
-    if problem.diffusion_derivative_product is not None:
-        return np.asarray(
-            problem.diffusion_derivative_product(x, j1, j2), dtype=np.float64
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = _levy_product(problem, np.asarray(x, dtype=np.float64), j1, j2)
+    if problem.diffusion_derivative_product is None and not np.all(np.isfinite(value)):
+        raise EvaluationError(
+            f"finite-difference evaluation of the diffusion derivative product "
+            f"hit a non-finite value on problem {problem.label!r}"
         )
-    return _fd_levy_product(problem, x, j1, j2)
+    return value
 
 
 def check_commutativity(

@@ -90,6 +90,12 @@ def generate_paths(
     )
 
 
+def _coarsen_increments(increments: np.ndarray, factor: int) -> np.ndarray:
+    """Sum blocks of ``factor`` consecutive steps of a (..., steps, m) array."""
+    *lead, steps, m = increments.shape
+    return increments.reshape(*lead, steps // factor, factor, m).sum(axis=-2)
+
+
 def coarsen(bundle: PathBundle, factor: int) -> PathBundle:
     """Restrict a bundle to a grid ``factor`` times coarser.
 
@@ -105,17 +111,13 @@ def coarsen(bundle: PathBundle, factor: int) -> PathBundle:
         )
     if factor == 1:
         return bundle
-    coarse_steps = bundle.steps_fine // factor
-    summed = bundle.increments.reshape(
-        coarse_steps, factor, bundle.dim_noise
-    ).sum(axis=1)
     return PathBundle(
         seed=bundle.seed,
         path_index=bundle.path_index,
         horizon=bundle.horizon,
-        steps_fine=coarse_steps,
+        steps_fine=bundle.steps_fine // factor,
         dim_noise=bundle.dim_noise,
-        increments=summed,
+        increments=_coarsen_increments(bundle.increments, factor),
         coarse_factor=bundle.coarse_factor * factor,
     )
 

@@ -30,8 +30,13 @@ grouped over unordered pairs, which is valid only when the noise
 commutes; ``integrate`` refuses Milstein variants on multi-noise problems
 that fail the commutativity check unless explicitly overridden.
 
-All step functions broadcast: ``x`` may be ``(d,)`` or ``(batch, d)``
-with ``dW`` shaped ``(m,)`` or ``(batch, m)``.
+The five differ in two switches, read off the scheme: which drift part is
+tamed (``SchemeKind.taming``) and whether the correction is added
+(``SchemeKind.is_milstein``). One parameterized step implements them all,
+and one batch propagator runs it over a block of paths.
+
+Step functions broadcast: ``x`` may be ``(d,)`` or ``(batch, d)`` with
+``dW`` shaped ``(m,)`` or ``(batch, m)``.
 """
 
 from __future__ import annotations
@@ -41,11 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    SdeProblem,
-    check_commutativity,
-    levy_product_coefficient,
-)
+from .model import SdeProblem, _levy_product, check_commutativity
 from .paths import PathBundle
 
 __all__ = [
@@ -53,11 +54,6 @@ __all__ = [
     "Trajectory",
     "tame",
     "milstein_correction",
-    "step_euler_maruyama",
-    "step_tamed_euler",
-    "step_semi_tamed_euler",
-    "step_tamed_milstein",
-    "step_semi_tamed_milstein",
     "step_function",
     "require_supported",
     "integrate",
@@ -86,6 +82,13 @@ class SchemeKind(enum.Enum):
     @property
     def is_milstein(self) -> bool:
         return self in (SchemeKind.TAMED_MILSTEIN, SchemeKind.SEMI_TAMED_MILSTEIN)
+
+    @property
+    def taming(self) -> str:
+        """Drift part the step tames: "none", "full" (phi + varphi) or "varphi"."""
+        if self is SchemeKind.EULER_MARUYAMA:
+            return "none"
+        return "varphi" if self.value.startswith("semi-") else "full"
 
 
 def tame(v: np.ndarray, h: float) -> np.ndarray:
@@ -125,81 +128,44 @@ def milstein_correction(
     corr = np.zeros_like(x)
     for j in range(problem.dim_noise):
         dw_j = dW[..., j : j + 1]
-        coeff = levy_product_coefficient(problem, x, j, j)
+        coeff = _levy_product(problem, x, j, j)
         corr = corr + 0.5 * coeff * (dw_j * dw_j - h)
     for j1 in range(problem.dim_noise):
         for j2 in range(j1 + 1, problem.dim_noise):
-            coeff = levy_product_coefficient(problem, x, j1, j2)
+            coeff = _levy_product(problem, x, j1, j2)
             corr = corr + coeff * (dW[..., j1 : j1 + 1] * dW[..., j2 : j2 + 1])
     return corr
 
 
-def step_euler_maruyama(problem, x, dW, h):
-    """x + f(x) h + g(x) dW with the composed drift f = phi + varphi."""
+def _step(problem, x, dW, h, taming, milstein):
+    """``x + drift h + sum_j g_j(x) dW_j``, plus the correction if ``milstein``.
+
+    ``taming`` picks the drift term: ``phi + varphi`` ("none"),
+    ``tame(phi + varphi, h)`` ("full") or ``phi + tame(varphi, h)``
+    ("varphi"). The additions run in this order for every scheme.
+    """
     x = np.asarray(x, dtype=np.float64)
     dW = np.asarray(dW, dtype=np.float64)
-    drift = problem.phi(x) + problem.varphi(x)
-    return x + drift * h + _diffusion_term(problem, x, dW)
-
-
-def step_tamed_euler(problem, x, dW, h):
-    """Euler step with the whole drift tamed."""
-    x = np.asarray(x, dtype=np.float64)
-    dW = np.asarray(dW, dtype=np.float64)
-    drift = problem.phi(x) + problem.varphi(x)
-    return x + tame(drift, h) * h + _diffusion_term(problem, x, dW)
-
-
-def step_semi_tamed_euler(problem, x, dW, h):
-    """Euler step taming only the one-sided drift part."""
-    x = np.asarray(x, dtype=np.float64)
-    dW = np.asarray(dW, dtype=np.float64)
-    return (
-        x
-        + problem.phi(x) * h
-        + tame(problem.varphi(x), h) * h
-        + _diffusion_term(problem, x, dW)
-    )
-
-
-def step_tamed_milstein(problem, x, dW, h):
-    """Tamed Euler step plus the commutative Milstein correction."""
-    x = np.asarray(x, dtype=np.float64)
-    dW = np.asarray(dW, dtype=np.float64)
-    drift = problem.phi(x) + problem.varphi(x)
-    return (
-        x
-        + tame(drift, h) * h
-        + _diffusion_term(problem, x, dW)
-        + milstein_correction(problem, x, dW, h)
-    )
-
-
-def step_semi_tamed_milstein(problem, x, dW, h):
-    """Semi-tamed Euler step plus the commutative Milstein correction."""
-    x = np.asarray(x, dtype=np.float64)
-    dW = np.asarray(dW, dtype=np.float64)
-    return (
-        x
-        + problem.phi(x) * h
-        + tame(problem.varphi(x), h) * h
-        + _diffusion_term(problem, x, dW)
-        + milstein_correction(problem, x, dW, h)
-    )
-
-
-_STEP_FUNCTIONS = {
-    SchemeKind.EULER_MARUYAMA: step_euler_maruyama,
-    SchemeKind.TAMED_EULER: step_tamed_euler,
-    SchemeKind.SEMI_TAMED_EULER: step_semi_tamed_euler,
-    SchemeKind.TAMED_MILSTEIN: step_tamed_milstein,
-    SchemeKind.SEMI_TAMED_MILSTEIN: step_semi_tamed_milstein,
-}
+    if taming == "varphi":
+        x_next = x + problem.phi(x) * h + tame(problem.varphi(x), h) * h
+    else:
+        drift = problem.phi(x) + problem.varphi(x)
+        x_next = x + (tame(drift, h) if taming == "full" else drift) * h
+    x_next = x_next + _diffusion_term(problem, x, dW)
+    if milstein:
+        x_next = x_next + milstein_correction(problem, x, dW, h)
+    return x_next
 
 
 def step_function(scheme: "str | SchemeKind"):
     """The pure one-step map for a scheme (problem, x, dW, h) -> x_next."""
-    return _STEP_FUNCTIONS[SchemeKind.from_name(scheme)]
+    kind = SchemeKind.from_name(scheme)
+    taming, milstein = kind.taming, kind.is_milstein
+
+    def step(problem, x, dW, h):
+        return _step(problem, x, dW, h, taming, milstein)
+
+    return step
 
 
 def _default_check_points(problem: SdeProblem, count: int = 16) -> np.ndarray:
@@ -274,7 +240,8 @@ def integrate(
 
     Steps ``N = bundle.steps_fine`` times with ``h = bundle.horizon / N``.
     Blow-up is flagged, not raised: the first non-finite state marks the
-    trajectory and the remaining grid rows are left as NaN sentinels.
+    trajectory and the remaining grid rows are left as NaN sentinels. The
+    path runs as a batch of one through the Monte Carlo propagator.
 
     Raises
     ------
@@ -291,26 +258,48 @@ def integrate(
         )
     n_steps = bundle.steps_fine
     h = bundle.horizon / n_steps
-    step_fn = _STEP_FUNCTIONS[scheme]
-
-    x = problem.initial_value.copy()
+    observe = None
     if record_full:
         states = np.full((n_steps + 1, problem.dim_state), np.nan)
         times = np.arange(n_steps + 1) * h
-    else:
-        states = np.full((2, problem.dim_state), np.nan)
-        times = np.array([0.0, n_steps * h])
-    states[0] = x
 
-    blew_up = False
+        def observe(n, x, alive):
+            states[n] = x[0]
+
+    final, blown = _propagate(
+        problem, step_function(scheme), bundle.increments[None], h, observe
+    )
+    if not record_full:
+        states = np.stack([problem.initial_value, final[0]])
+        times = np.array([0.0, n_steps * h])
+    return Trajectory(times=times, states=states, blew_up=bool(blown[0]), step=h)
+
+
+def _propagate(problem, step, increments, h, observe=None):
+    """Integrate a (batch, steps, m) increment block from the initial value.
+
+    A path whose state turns non-finite is frozen to the NaN sentinel and
+    stays blown up; stepping stops once no path is alive. ``observe(n, x,
+    alive)`` sees the states at every gridpoint ``n`` reached. Returns the
+    terminal states and the blow-up mask.
+    """
+    batch = increments.shape[0]
+    x = np.tile(problem.initial_value, (batch, 1))
+    alive = np.ones(batch, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(n_steps):
-            x = step_fn(problem, x, bundle.increments[n], h)
-            if not np.all(np.isfinite(x)):
-                blew_up = True
+        if observe is not None:
+            observe(0, x, alive)
+        for n in range(increments.shape[1]):
+            x = step(problem, x, increments[:, n, :], h)
+            finite = np.all(np.isfinite(x), axis=1)
+            all_finite = np.all(finite)
+            if not all_finite:
+                x[~finite] = np.nan
+                alive &= finite
+            if observe is not None:
+                observe(n + 1, x, alive)
+            # only a step with a non-finite state can kill the last live path,
+            # so the per-step cost stays one reduction on the common path
+            if not (all_finite or np.any(alive)):
                 break
-            if record_full:
-                states[n + 1] = x
-    if not blew_up and not record_full:
-        states[1] = x
-    return Trajectory(times=times, states=states, blew_up=blew_up, step=h)
+    return x, ~alive

@@ -311,6 +311,14 @@ def test_threshold_degenerate_branches():
     assert thr.h2 == math.inf
     assert thr.h_star == pytest.approx(2.0)
     assert decay_rate(params, 1.0) == pytest.approx(2.0)
+    # A subnormal K underflows 2 K v to zero: the first branch is +inf, not
+    # a ZeroDivisionError.
+    tiny = StabilityParams(
+        rho=1.0, theta=0.0, lip_K=5e-324, beta=0.0, v=0.25, v_bar=0.25, alpha=2.0, m=1
+    )
+    thr = stability_threshold(tiny)
+    assert thr.h1 == pytest.approx(0.5 / 0.25**2)
+    assert decay_rate(tiny, 1.0) == pytest.approx(2.0)
 
 
 def test_decay_rate_vanishes_at_binding_h2():
@@ -437,15 +445,11 @@ def test_stability_study_structure(stable, stable_params):
         assert entry.curve.paths == 32
     assert report.threshold is not None
     assert report.threshold.h_star == pytest.approx(0.25, abs=1e-15)
-    assert report.gamma_of_h is not None
-    assert report.gamma_of_h(1.0 / 16) == pytest.approx(
-        decay_rate(stable_params, 1.0 / 16)
-    )
+    assert report.params is stable_params
 
 
 def test_stability_study_without_params(stable):
     report = stability_study(stable, ["em"], [0.25], paths=16, seed=SEED)
     assert report.params is None
     assert report.threshold is None
-    assert report.gamma_of_h is None
     assert len(report.entries) == 1

@@ -422,6 +422,25 @@ def test_simulate_truncates_blown_path(tmp_path, capsys):
     assert "blew up" in err
 
 
+def test_simulate_rejects_nondividing_stepsize_before_writing(tmp_path, capsys):
+    out = tmp_path / "out"
+    payload = {
+        "kind": "simulate",
+        "model": "ginzburg-landau-stable",
+        "schemes": ["em"],
+        "stepsizes": [0.0625, 0.3],
+        "paths": 1,
+        "seed": SEED,
+        "output_dir": str(out),
+    }
+    path = write_config(tmp_path, payload)
+    assert main(["simulate", "--config", path]) == 2
+    err = capsys.readouterr().err
+    lineno = line_of(path, '"stepsizes"')
+    assert f"{path}:{lineno}: stepsize 0.3 does not divide" in err
+    assert not out.exists() or list(out.iterdir()) == []
+
+
 # ------------------------------------------------------------------
 # run(): threshold and check
 # ------------------------------------------------------------------

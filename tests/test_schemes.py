@@ -11,21 +11,17 @@ from hypothesis import strategies as st
 
 from tamedsde import (
     SchemeKind,
+    SdeProblem,
     drift_full,
     generate_paths,
     integrate,
+    mean_square_curve,
     milstein_correction,
     require_supported,
     step_function,
     tame,
 )
-from tamedsde.schemes import (
-    step_euler_maruyama,
-    step_semi_tamed_euler,
-    step_semi_tamed_milstein,
-    step_tamed_euler,
-    step_tamed_milstein,
-)
+from tamedsde import analysis
 
 from conftest import SEED, make_gbm, make_swapped_2d
 
@@ -42,9 +38,16 @@ def test_scheme_names_round_trip():
     for kind in SchemeKind:
         assert SchemeKind.from_name(kind.value) is kind
         assert SchemeKind.from_name(kind) is kind
-    assert SchemeKind.TAMED_MILSTEIN.is_milstein
-    assert SchemeKind.SEMI_TAMED_MILSTEIN.is_milstein
-    assert not SchemeKind.EULER_MARUYAMA.is_milstein
+    # the README's scheme table: (taming, Milstein correction)
+    table = {
+        "em": ("none", False),
+        "tamed-euler": ("full", False),
+        "semi-tamed-euler": ("varphi", False),
+        "tamed-milstein": ("full", True),
+        "semi-tamed-milstein": ("varphi", True),
+    }
+    for kind in SchemeKind:
+        assert (kind.taming, kind.is_milstein) == table[kind.value]
 
 
 def test_unknown_scheme_lists_valid_names():
@@ -99,17 +102,17 @@ def test_tame_contribution_below_one(v, h):
 # ------------------------------------------------------------------
 
 def test_step_hand_values(unstable):
-    assert step_euler_maruyama(unstable, X, DW0, H) == pytest.approx([1.1])
-    assert step_tamed_euler(unstable, X, DW0, H) == pytest.approx(
+    assert step_function("em")(unstable, X, DW0, H) == pytest.approx([1.1])
+    assert step_function("tamed-euler")(unstable, X, DW0, H) == pytest.approx(
         [1.0909090909090908], abs=1e-15
     )
-    assert step_semi_tamed_euler(unstable, X, DW0, H) == pytest.approx(
+    assert step_function("semi-tamed-euler")(unstable, X, DW0, H) == pytest.approx(
         [1.1090909090909093], abs=1e-15
     )
-    assert step_tamed_milstein(unstable, X, DW0, H) == pytest.approx(
+    assert step_function("tamed-milstein")(unstable, X, DW0, H) == pytest.approx(
         [1.0409090909090908], abs=1e-15
     )
-    assert step_semi_tamed_milstein(unstable, X, DW0, H) == pytest.approx(
+    assert step_function("semi-tamed-milstein")(unstable, X, DW0, H) == pytest.approx(
         [1.0590909090909093], abs=1e-15
     )
 
@@ -157,8 +160,8 @@ def test_empty_one_sided_part_reduces_to_euler(gbm):
     rng = np.random.default_rng(SEED)
     xs = rng.uniform(0.2, 3.0, size=(50, 1))
     dws = rng.normal(0.0, np.sqrt(H), size=(50, 1))
-    euler = step_euler_maruyama(gbm, xs, dws, H)
-    semi = step_semi_tamed_euler(gbm, xs, dws, H)
+    euler = step_function("em")(gbm, xs, dws, H)
+    semi = step_function("semi-tamed-euler")(gbm, xs, dws, H)
     assert np.array_equal(euler, semi)
 
 
@@ -170,7 +173,7 @@ def test_empty_one_sided_part_reduces_to_milstein(gbm):
     xs = rng.uniform(0.2, 3.0, size=(50, 1))
     dws = rng.normal(0.0, np.sqrt(H), size=(50, 1))
     classical = xs + (a * xs) * H + (b * xs) * dws + 0.5 * (b2 * xs) * (dws * dws - H)
-    semi = step_semi_tamed_milstein(gbm, xs, dws, H)
+    semi = step_function("semi-tamed-milstein")(gbm, xs, dws, H)
     assert np.array_equal(classical, semi)
 
 
@@ -181,13 +184,13 @@ def test_schemes_coincide_without_noise_small_h(unstable):
     gaps = []
     for h in (1e-3, 5e-4):
         dw = np.array([0.0])
-        em = step_euler_maruyama(unstable, x, dw, h)
+        em = step_function("em")(unstable, x, dw, h)
         milstein_part = milstein_correction(unstable, x, dw, h)
         states = [
-            step_tamed_euler(unstable, x, dw, h),
-            step_semi_tamed_euler(unstable, x, dw, h),
-            step_tamed_milstein(unstable, x, dw, h) - milstein_part,
-            step_semi_tamed_milstein(unstable, x, dw, h) - milstein_part,
+            step_function("tamed-euler")(unstable, x, dw, h),
+            step_function("semi-tamed-euler")(unstable, x, dw, h),
+            step_function("tamed-milstein")(unstable, x, dw, h) - milstein_part,
+            step_function("semi-tamed-milstein")(unstable, x, dw, h) - milstein_part,
         ]
         gaps.append(max(float(np.max(np.abs(s - em))) for s in states))
     assert gaps[0] < 2e-5
@@ -324,6 +327,50 @@ def test_blow_up_census_contrast(unstable_long):
     for name, n_blown in counts.items():
         if name != "em":
             assert n_blown == 0, name
+
+
+def test_integrate_is_a_batch_of_one(unstable_long):
+    """Per-path integrate equals the batch propagator bitwise, NaN included."""
+    paths = 64
+    bundles = [
+        generate_paths(seed=SEED, path_index=k, steps_fine=8, dim_noise=1, horizon=2.0)
+        for k in range(paths)
+    ]
+    stacked = np.stack([b.increments for b in bundles])
+    for kind in SchemeKind:
+        batch_final, batch_blown = analysis._batch_endpoints(unstable_long, kind, stacked, 0.25)
+        trajs = [integrate(unstable_long, kind, b, record_full=False) for b in bundles]
+        final = np.stack([t.final_state for t in trajs])
+        assert np.array_equal(final, batch_final, equal_nan=True), kind
+        assert np.array_equal([t.blew_up for t in trajs], batch_blown), kind
+        if kind is SchemeKind.EULER_MARUYAMA:
+            assert 0 < np.sum(batch_blown) < paths
+        else:
+            assert not np.any(batch_blown), kind
+
+
+def test_blow_up_under_finite_difference_milstein_is_counted():
+    """Without a closed-form derivative product, a Milstein step on a path
+    that is blowing up yields a counted blow-up, not an error."""
+    problem = SdeProblem(
+        dim_state=1,
+        dim_noise=1,
+        phi=lambda x: 0.0 * x,
+        varphi=lambda x: -(x**3),
+        diffusion_column=lambda x, j: x**3,
+        initial_value=np.array([1.0]),
+        horizon=4.0,
+    )
+    curve = mean_square_curve(problem, "semi-tamed-milstein", 0.5, paths=64, seed=1)
+    assert 0 < curve.blown_up_count < 64
+    blown = [
+        k
+        for k in range(64)
+        if integrate(
+            problem, "semi-tamed-milstein", generate_paths(1, k, 8, 1, 4.0)
+        ).blew_up
+    ]
+    assert len(blown) == curve.blown_up_count
 
 
 def test_integrate_milstein_gate(swapped_2d):
