@@ -10,7 +10,8 @@ The root-mean-square terminal gap over paths is then fitted to a power law
 Sample paths are processed in fixed-size chunks (``CHUNK_PATHS`` paths per
 chunk) whose boundaries depend only on the path index, and chunk results
 are reduced in chunk order. Worker threads only distribute chunks, so
-results are bit-identical for any thread count, including 1.
+results are bit-identical for any thread count, including 1; no more
+threads run than there are chunks or available cores.
 
 Stability analysis has two sides. The closed-form side computes the
 stepsize threshold ``h*`` and the exponential decay rate ``gamma_h`` of
@@ -24,6 +25,7 @@ per gridpoint and reported alongside.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -107,13 +109,26 @@ def _stack_increments(
     )
 
 
+def _available_cores() -> int:
+    """Cores this process may run on (all of the machine's where unknown)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def _run_chunks(worker: Callable, paths: int, threads: int) -> list:
-    """Run ``worker`` over every chunk, returning results in chunk order."""
+    """Run ``worker`` over every chunk, returning results in chunk order.
+
+    At most one worker per chunk and per available core: the chunks contend
+    for the interpreter lock, so a thread beyond the cores only slows a run.
+    """
     ranges = _chunk_ranges(paths)
-    if threads <= 1:
+    workers = min(threads, len(ranges), _available_cores())
+    if workers <= 1:
         return [worker(lo, hi) for lo, hi in ranges]
     results: list = [None] * len(ranges)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = {
             pool.submit(worker, lo, hi): k for k, (lo, hi) in enumerate(ranges)
         }

@@ -42,12 +42,18 @@ Step functions broadcast: ``x`` may be ``(d,)`` or ``(batch, d)`` with
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import SdeProblem, _levy_product, check_commutativity
 from .paths import PathBundle
+
+# Upper bound on the bytes of the time-major increment tile _propagate copies,
+# and the paths copied into it per numpy call (see _time_major).
+_TILE_BYTES = 1 << 20
+_COPY_PATHS = 16
 
 __all__ = [
     "SchemeKind",
@@ -103,8 +109,18 @@ def tame(v: np.ndarray, h: float) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     if v.ndim == 0:
         return v / (1.0 + h * np.abs(v))
-    norm = np.sqrt(np.sum(v * v, axis=-1, keepdims=True))
-    return v / (1.0 + h * norm)
+    return _tame(v, h)
+
+
+def _tame(v: np.ndarray, h: float) -> np.ndarray:
+    """``tame`` for a float64 ``(..., d)`` array and ``h >= 0``, unchecked.
+
+    ``np.add.reduce`` is the summation ``np.sum`` runs, minus its wrapper.
+    """
+    sq = v * v
+    if sq.shape[-1] > 1:  # a sum of one term is that term
+        sq = np.add.reduce(sq, axis=-1, keepdims=True)
+    return v / (1.0 + h * np.sqrt(sq))
 
 
 def _diffusion_term(problem: SdeProblem, x: np.ndarray, dW: np.ndarray) -> np.ndarray:
@@ -125,11 +141,12 @@ def milstein_correction(
     """
     x = np.asarray(x, dtype=np.float64)
     dW = np.asarray(dW, dtype=np.float64)
-    corr = np.zeros_like(x)
+    corr = None
     for j in range(problem.dim_noise):
         dw_j = dW[..., j : j + 1]
         coeff = _levy_product(problem, x, j, j)
-        corr = corr + 0.5 * coeff * (dw_j * dw_j - h)
+        term = 0.5 * coeff * (dw_j * dw_j - h)
+        corr = term if corr is None else corr + term
     for j1 in range(problem.dim_noise):
         for j2 in range(j1 + 1, problem.dim_noise):
             coeff = _levy_product(problem, x, j1, j2)
@@ -147,10 +164,10 @@ def _step(problem, x, dW, h, taming, milstein):
     x = np.asarray(x, dtype=np.float64)
     dW = np.asarray(dW, dtype=np.float64)
     if taming == "varphi":
-        x_next = x + problem.phi(x) * h + tame(problem.varphi(x), h) * h
+        x_next = x + problem.phi(x) * h + _tame(problem.varphi(x), h) * h
     else:
         drift = problem.phi(x) + problem.varphi(x)
-        x_next = x + (tame(drift, h) if taming == "full" else drift) * h
+        x_next = x + (_tame(drift, h) if taming == "full" else drift) * h
     x_next = x_next + _diffusion_term(problem, x, dW)
     if milstein:
         x_next = x_next + milstein_correction(problem, x, dW, h)
@@ -163,6 +180,8 @@ def step_function(scheme: "str | SchemeKind"):
     taming, milstein = kind.taming, kind.is_milstein
 
     def step(problem, x, dW, h):
+        if taming != "none" and h < 0:
+            raise ValueError(f"h must be nonnegative, got {h}")
         return _step(problem, x, dW, h, taming, milstein)
 
     return step
@@ -275,6 +294,26 @@ def integrate(
     return Trajectory(times=times, states=states, blew_up=bool(blown[0]), step=h)
 
 
+def _time_major(increments):
+    """Yield the (batch, m) increments of each step of a (batch, steps, m) block.
+
+    The block is copied one tile of steps at a time into a contiguous
+    (tile, batch, m) buffer of at most ``_TILE_BYTES``, so each step reads
+    adjacent memory instead of one entry per path ``steps * m`` apart. The
+    copy runs ``_COPY_PATHS`` paths at a time: path rows sit a power of two
+    apart on the usual grids, and a copy over every path at once would map
+    all of them to one cache set.
+    """
+    batch, steps, m = increments.shape
+    tile = max(1, _TILE_BYTES // max(1, batch * m * increments.itemsize))
+    for start in range(0, steps, tile):
+        part = increments[:, start : start + tile]
+        buf = np.empty((part.shape[1], batch, m), dtype=increments.dtype)
+        for lo in range(0, batch, _COPY_PATHS):
+            buf[:, lo : lo + _COPY_PATHS] = part[lo : lo + _COPY_PATHS].swapaxes(0, 1)
+        yield from buf
+
+
 def _propagate(problem, step, increments, h, observe=None):
     """Integrate a (batch, steps, m) increment block from the initial value.
 
@@ -289,17 +328,19 @@ def _propagate(problem, step, increments, h, observe=None):
     with np.errstate(over="ignore", invalid="ignore"):
         if observe is not None:
             observe(0, x, alive)
-        for n in range(increments.shape[1]):
-            x = step(problem, x, increments[:, n, :], h)
-            finite = np.all(np.isfinite(x), axis=1)
-            all_finite = np.all(finite)
+        for n, dW in enumerate(_time_major(increments), 1):
+            x = step(problem, x, dW, h)
+            # one reduction on the common path: the sum of the entries is
+            # finite only if every entry is; a sum that overflows from finite
+            # entries costs a row mask that kills nothing
+            all_finite = math.isfinite(np.add.reduce(x, axis=None))
             if not all_finite:
+                finite = np.isfinite(x).all(axis=1)
                 x[~finite] = np.nan
                 alive &= finite
             if observe is not None:
-                observe(n + 1, x, alive)
-            # only a step with a non-finite state can kill the last live path,
-            # so the per-step cost stays one reduction on the common path
-            if not (all_finite or np.any(alive)):
+                observe(n, x, alive)
+            # only a step with a non-finite state can kill the last live path
+            if not (all_finite or alive.any()):
                 break
     return x, ~alive

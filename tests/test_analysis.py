@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import math
+import os
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -24,6 +27,7 @@ from tamedsde import (
     strong_error_study,
     strong_error_table,
 )
+from tamedsde import analysis
 from tamedsde.analysis import CHUNK_PATHS
 
 from conftest import SEED
@@ -152,6 +156,43 @@ def test_thread_count_does_not_change_bits(unstable):
     assert np.array_equal(serial.stderrs, threaded.stderrs)
     assert serial.fit_order == threaded.fit_order
     assert serial.fit_constant == threaded.fit_constant
+
+
+def test_run_chunks_order_and_worker_cap(monkeypatch):
+    paths = 5 * CHUNK_PATHS - 7
+    ranges = analysis._chunk_ranges(paths)
+    real_cores = analysis._available_cores()
+
+    def run(threads):
+        idents = set()
+
+        def worker(lo, hi):
+            idents.add(threading.get_ident())
+            time.sleep(0.002 * (paths - lo) / CHUNK_PATHS)  # early chunks finish last
+            return lo, hi
+
+        assert analysis._run_chunks(worker, paths, threads) == ranges
+        return idents
+
+    for threads in (1, 2, 8):
+        assert len(run(threads)) <= min(threads, len(ranges), real_cores)
+    for cores in (1, 3):
+        monkeypatch.setattr(analysis, "_available_cores", lambda: cores)
+        for threads in (1, 2, 8):
+            assert len(run(threads)) <= min(threads, len(ranges), cores)
+    assert run(8) != {threading.get_ident()}  # a 3-worker pool, not the caller
+    monkeypatch.setattr(analysis, "_available_cores", lambda: 1)
+    assert run(8) == {threading.get_ident()}
+
+
+def test_available_cores_follows_affinity(monkeypatch):
+    if hasattr(os, "sched_getaffinity"):
+        assert analysis._available_cores() == len(os.sched_getaffinity(0))
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert analysis._available_cores() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert analysis._available_cores() == 1
 
 
 def test_blown_paths_are_excluded(unstable_long):

@@ -236,6 +236,28 @@ def test_shipped_configs_parse():
         assert cfg.kind in KINDS
 
 
+# Every committed result directory: (subcommand, config under configs/, name under results/)
+COMMITTED_RESULTS = [
+    ("check", "check_models.json", "check_stable"),
+    ("threshold", "threshold_stable.json", "threshold_stable"),
+    ("converge", "convergence_smoke.json", "convergence_smoke"),
+    ("stability", "stability_grid.json", "stability_grid"),
+    ("simulate", "simulate_sample.json", "simulate_sample"),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, config, name", COMMITTED_RESULTS, ids=[name for *_, name in COMMITTED_RESULTS]
+)
+def test_committed_results_reproduce(tmp_path, kind, config, name):
+    out = tmp_path / name
+    assert main([kind, "--config", str(REPO / "configs" / config), "--out", str(out)]) == 0
+    expected = REPO / "results" / name
+    assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in expected.iterdir())
+    for path in expected.iterdir():
+        assert (out / path.name).read_bytes() == path.read_bytes(), path.name
+
+
 # ------------------------------------------------------------------
 # run(): converge
 # ------------------------------------------------------------------

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from tamedsde import (
     SchemeKind,
     SdeProblem,
+    builtin_problem,
     drift_full,
     generate_paths,
     integrate,
@@ -21,9 +22,9 @@ from tamedsde import (
     step_function,
     tame,
 )
-from tamedsde import analysis
+from tamedsde import analysis, schemes
 
-from conftest import SEED, make_gbm, make_swapped_2d
+from conftest import SEED, make_diagonal_2d, make_gbm, make_swapped_2d
 
 X = np.array([1.0])
 H = 0.1
@@ -95,6 +96,38 @@ def test_tame_bounds_vectorized():
 def test_tame_contribution_below_one(v, h):
     out = tame(np.array(v), h)
     assert float(np.linalg.norm(out)) * h < 1.0 + 1e-12
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+def test_private_tame_matches_tame_bitwise():
+    rng = np.random.default_rng(SEED)
+    for d in (1, 2, 5):
+        batches = [
+            rng.standard_normal((64, d)) * 10.0 ** rng.integers(-3, 4, size=(64, 1)),
+            np.zeros((3, d)),
+            np.full((4, d), 1e200) * rng.choice([-1.0, 1.0], size=(4, d)),  # v*v overflows
+        ]
+        for v in batches:
+            for h in (0.0, 1e-3, 0.5, 10.0):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    fast, checked = schemes._tame(v, h), tame(v, h)
+                    norm = np.sqrt(np.sum(v * v, axis=-1, keepdims=True))
+                    expected = v / (1.0 + h * norm)
+                assert np.array_equal(_bits(fast), _bits(expected)), (d, h)
+                assert np.array_equal(_bits(checked), _bits(expected)), (d, h)
+
+
+def test_tamed_steps_keep_the_h_check(unstable):
+    for kind in SchemeKind:
+        step = step_function(kind)
+        if kind.taming == "none":
+            assert np.isfinite(step(unstable, X, DW0, -0.1)).all()
+        else:
+            with pytest.raises(ValueError, match="nonnegative"):
+                step(unstable, X, DW0, -0.1)
 
 
 # ------------------------------------------------------------------
@@ -379,3 +412,108 @@ def test_integrate_milstein_gate(swapped_2d):
         integrate(swapped_2d, "tamed-milstein", bundle)
     traj = integrate(swapped_2d, "tamed-milstein", bundle, allow_noncommutative=True)
     assert traj.states.shape == (9, 2)
+
+
+# ------------------------------------------------------------------
+# Batch propagator: time-major tiles and the finiteness check
+# ------------------------------------------------------------------
+
+def _naive_propagate(problem, step, increments, h):
+    """Reference loop: reads increments[:, n, :] and masks rows every step."""
+    x = np.tile(problem.initial_value, (increments.shape[0], 1))
+    alive = np.ones(increments.shape[0], dtype=bool)
+    states = [x.copy()]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(increments.shape[1]):
+            x = step(problem, x, increments[:, n, :], h)
+            finite = np.isfinite(x).all(axis=1)
+            x[~finite] = np.nan
+            alive &= finite
+            states.append(x.copy())
+            if not alive.any():
+                break
+    return x, ~alive, states
+
+
+def _cubic_noise_fd():
+    # no closed-form derivative product: Milstein steps take the finite difference
+    return SdeProblem(
+        dim_state=1,
+        dim_noise=1,
+        phi=lambda x: 0.0 * x,
+        varphi=lambda x: -(x**3),
+        diffusion_column=lambda x, j: x**3,
+        initial_value=np.array([1.0]),
+        horizon=4.0,
+    )
+
+
+TILE = 4
+BATCH = 2 * schemes._COPY_PATHS + 5  # three copy blocks, the last one short
+
+
+@pytest.mark.parametrize(
+    "make_problem",
+    [make_diagonal_2d, _cubic_noise_fd, lambda: builtin_problem("ginzburg-landau-unstable", 2.0)],
+    ids=["diagonal-2d-fd", "cubic-noise-fd", "unstable-closed-form"],
+)
+def test_propagate_tiles_match_naive_loop(monkeypatch, make_problem):
+    problem = make_problem()
+    m = problem.dim_noise
+    monkeypatch.setattr(schemes, "_TILE_BYTES", TILE * BATCH * m * 8)
+    for steps in (1, TILE - 1, TILE, TILE + 1, 2 * TILE + 3):
+        base = analysis._stack_increments(SEED, 0, BATCH, steps, m, problem.horizon)
+        blocks = {"drawn": base}
+        if steps > TILE + 1:
+            mid = base.copy()
+            mid[[1, BATCH - 2], TILE + 1, :] = 1e300  # paths blow up inside the second tile
+            blocks["mid-tile"] = mid
+        if steps >= 3:
+            dead = base.copy()
+            dead[:, 0, :] = 1e300  # every path dies at step 2: the last steps never run
+            blocks["all-dead"] = dead
+        h = problem.horizon / steps
+        for label, inc in blocks.items():
+            for kind in SchemeKind:
+                step = step_function(kind)
+                seen = []
+                final, blown = schemes._propagate(
+                    problem, step, inc, h, lambda n, x, alive: seen.append((n, x.copy()))
+                )
+                ref_final, ref_blown, ref_states = _naive_propagate(problem, step, inc, h)
+                where = (steps, label, kind.value)
+                assert [n for n, _ in seen] == list(range(len(ref_states))), where
+                for (_, x), ref in zip(seen, ref_states):
+                    assert np.array_equal(_bits(x), _bits(ref)), where
+                assert np.array_equal(_bits(final), _bits(ref_final)), where
+                assert np.array_equal(blown, ref_blown), where
+                if label == "mid-tile":
+                    assert blown[[1, BATCH - 2]].all(), where
+                if label == "all-dead":
+                    assert blown.all() and len(seen) <= 3 < steps + 1, where
+
+
+def _propagate_one_step(rows):
+    """Run _propagate for one step of a stub that jumps to ``rows``."""
+    rows = np.array(rows, dtype=np.float64)
+    problem = make_diagonal_2d()
+    increments = np.zeros((rows.shape[0], 1, problem.dim_noise))
+    return schemes._propagate(problem, lambda p, x, dW, h: rows.copy(), increments, 0.1)
+
+
+def test_propagate_keeps_finite_rows_whose_sum_overflows():
+    rows = [[1e308, 1e308], [1e308, -1.0], [2.0, 1e308], [-1e308, 3.0]]
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(np.add.reduce(np.array(rows), axis=None))
+    final, blown = _propagate_one_step(rows)
+    assert not blown.any()
+    assert np.array_equal(final, rows)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_propagate_kills_exactly_the_non_finite_row(bad):
+    rows = [[1.0, 2.0], [3.0, bad], [1e308, 1e308]]
+    final, blown = _propagate_one_step(rows)
+    assert blown.tolist() == [False, True, False]
+    assert np.isnan(final[1]).all()
+    assert np.array_equal(final[[0, 2]], [[1.0, 2.0], [1e308, 1e308]])
