@@ -33,7 +33,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .model import EvaluationError, SdeProblem, drift_full
-from .paths import _coarsen_increments, _draw_increments
+from .paths import _coarsen_increments, _draw_increments, _generator, _stream_keys
 from .schemes import SchemeKind, _propagate, require_supported, step_function
 
 __all__ = [
@@ -103,10 +103,16 @@ def _chunk_ranges(paths: int) -> list[tuple[int, int]]:
 def _stack_increments(
     seed: int, lo: int, hi: int, steps: int, dim_noise: int, horizon: float
 ) -> np.ndarray:
-    """Increments for paths lo..hi-1, identical to per-path generation."""
-    return np.stack(
-        [_draw_increments(seed, i, steps, dim_noise, horizon) for i in range(lo, hi)]
-    )
+    """Increments for paths lo..hi-1, identical to per-path generation.
+
+    The chunk's keys are derived in one pass; one generator, private to this
+    call, is restarted per path.
+    """
+    gen = _generator()
+    block = np.empty((hi - lo, steps, dim_noise))
+    for row, key in zip(block, _stream_keys(seed, lo, hi)):
+        row[...] = _draw_increments(gen, key, steps, dim_noise, horizon)
+    return block
 
 
 def _available_cores() -> int:

@@ -7,14 +7,20 @@ grid can be compared against a reference scheme on a fine grid of the same
 realization.
 
 Streams are counter-based: path ``i`` of seed ``s`` draws from a Philox
-generator keyed by ``SeedSequence(entropy=s, spawn_key=(i,))``, so any
-subset of paths can be generated in any order, bit-exactly. Coarsening sums
-blocks of fine increments, which is exactly the restriction of the same
-Brownian path to the coarser grid.
+generator whose 128-bit key is bit-identical to the one numpy derives from
+``SeedSequence(entropy=s, spawn_key=(i,))``, so any subset of paths can be
+generated in any order, bit-exactly. A Philox stream is fully set by its key,
+so the keys of a whole range of paths are derived in one vectorized pass of
+numpy's seed-sequence hashing, and a single generator is restarted per path
+by setting its state. Path indices lie in ``[0, 2**32)``: the derivation
+covers spawn keys of one 32-bit word. Coarsening sums blocks of fine
+increments, which is exactly the restriction of the same Brownian path to
+the coarser grid.
 """
 
 from __future__ import annotations
 
+import operator
 import struct
 from dataclasses import dataclass
 
@@ -49,12 +55,73 @@ class PathBundle:
         return self.horizon / self.steps_fine
 
 
+# numpy's SeedSequence hashing constants (numpy/random/bit_generator.pyx).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_MASK32 = 0xFFFFFFFF
+
+
+def _stream_keys(seed: int, lo: int, hi: int) -> np.ndarray:
+    """Philox keys of paths ``lo..hi-1``, shape ``(hi - lo, 2)`` uint64.
+
+    Row ``k`` equals the key of ``Philox(SeedSequence(entropy=seed,
+    spawn_key=(lo + k,)))``. Mixing the seed alone gives the pool that the
+    spawned sequence holds before its spawn word (padding the seed with
+    zeros to the pool size leaves the pool unchanged), and the hash constant
+    then depends only on how often it has been used, so the spawn word's
+    ``hashmix`` + ``mix`` into each pool word and ``generate_state``'s
+    output hashing vectorize over the path indices.
+    """
+    pool = np.random.SeedSequence(entropy=seed).pool
+    words = max(1, -(-operator.index(seed).bit_length() // 32))
+    uses = 4 * _POOL_SIZE + 4 * max(0, words - _POOL_SIZE)
+    index = np.arange(lo, hi, dtype=np.uint32)
+    hash_a = _INIT_A * pow(_MULT_A, uses, 2**32) & _MASK32
+    hash_b = _INIT_B
+    state = np.empty((hi - lo, _POOL_SIZE), dtype=np.uint32)
+    for w in range(_POOL_SIZE):
+        # hashmix(index) against the pool word's hash constant, then mix
+        value = index ^ np.uint32(hash_a)
+        hash_a = hash_a * _MULT_A & _MASK32
+        value *= np.uint32(hash_a)
+        value ^= value >> np.uint32(16)
+        pool_term = np.uint32(_MIX_MULT_L * int(pool[w]) & _MASK32)
+        mixed = pool_term - np.uint32(_MIX_MULT_R) * value
+        mixed ^= mixed >> np.uint32(16)
+        # generate_state: one output word per pool word
+        mixed ^= np.uint32(hash_b)
+        hash_b = hash_b * _MULT_B & _MASK32
+        mixed *= np.uint32(hash_b)
+        mixed ^= mixed >> np.uint32(16)
+        state[:, w] = mixed
+    wide = state.astype(np.uint64)
+    return wide[:, 0::2] | wide[:, 1::2] << np.uint64(32)  # low word first
+
+
+def _generator() -> np.random.Generator:
+    """A reusable Philox generator; :func:`_draw_increments` sets its state."""
+    return np.random.Generator(np.random.Philox(0))  # fixed seed: no OS entropy
+
+
 def _draw_increments(
-    seed: int, path_index: int, steps: int, dim_noise: int, horizon: float
+    gen: np.random.Generator, key, steps: int, dim_noise: int, horizon: float
 ) -> np.ndarray:
-    """The (steps, dim_noise) increment block for one (seed, path) stream."""
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(path_index,))
-    gen = np.random.Generator(np.random.Philox(ss))
+    """The (steps, dim_noise) increment block of the stream with Philox ``key``.
+
+    ``gen`` is restarted at counter 0 with an empty buffer, exactly the state
+    a Philox freshly built from the stream's seed sequence has, so nothing
+    carries over from the stream drawn before.
+    """
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": key},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
     scale = np.sqrt(horizon / steps)
     return gen.normal(loc=0.0, scale=scale, size=(steps, dim_noise))
 
@@ -67,9 +134,11 @@ def generate_paths(
 
     Raises
     ------
+    TypeError
+        If the seed or path index is not an integer.
     ValueError
-        If ``steps_fine < 1``, ``dim_noise < 1``, ``horizon <= 0`` or the
-        seed/path index are negative.
+        If ``steps_fine < 1``, ``dim_noise < 1``, ``horizon <= 0``, the
+        seed or path index is negative, or ``path_index >= 2**32``.
     """
     if steps_fine < 1:
         raise ValueError(f"steps_fine must be >= 1, got {steps_fine}")
@@ -77,12 +146,16 @@ def generate_paths(
         raise ValueError(f"dim_noise must be >= 1, got {dim_noise}")
     if not horizon > 0.0:
         raise ValueError(f"horizon must be positive, got {horizon}")
+    seed, path_index = operator.index(seed), operator.index(path_index)
     if seed < 0 or path_index < 0:
         raise ValueError("seed and path_index must be nonnegative integers")
-    increments = _draw_increments(seed, path_index, steps_fine, dim_noise, horizon)
+    if path_index >= 2**32:
+        raise ValueError(f"path_index must be below 2**32, got {path_index}")
+    key = _stream_keys(seed, path_index, path_index + 1)[0]
+    increments = _draw_increments(_generator(), key, steps_fine, dim_noise, horizon)
     return PathBundle(
-        seed=int(seed),
-        path_index=int(path_index),
+        seed=seed,
+        path_index=path_index,
         horizon=float(horizon),
         steps_fine=int(steps_fine),
         dim_noise=int(dim_noise),
@@ -130,7 +203,20 @@ def dump_bundle(bundle: PathBundle, path: str) -> None:
     followed by the increments as row-major little-endian float64. The
     header carries grid metadata only; path index and coarsening factor
     are not persisted.
+
+    Raises
+    ------
+    ValueError
+        If the seed is not in ``[0, 2**64)`` or the step count or noise
+        dimension is not in ``[0, 2**32)``; nothing is written then.
     """
+    for name, value, bits in (
+        ("seed", bundle.seed, 64),
+        ("steps", bundle.steps_fine, 32),
+        ("dim_noise", bundle.dim_noise, 32),
+    ):
+        if not 0 <= value < 2**bits:
+            raise ValueError(f"{name} must be in [0, 2**{bits}) to be dumped, got {value}")
     header = _HEADER.pack(
         _MAGIC,
         bundle.seed,

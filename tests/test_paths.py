@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tamedsde import PathBundle, coarsen, dump_bundle, generate_paths, load_bundle
+from tamedsde import PathBundle, analysis, coarsen, dump_bundle, generate_paths, load_bundle
+from tamedsde.paths import _draw_increments, _generator, _stream_keys
 
 from conftest import SEED
 
@@ -45,6 +46,88 @@ def test_argument_validation():
         generate_paths(seed=1, path_index=0, steps_fine=4, dim_noise=1, horizon=-1.0)
     with pytest.raises(ValueError, match="seed"):
         generate_paths(seed=-1, path_index=0, steps_fine=4, dim_noise=1, horizon=1.0)
+    with pytest.raises(ValueError, match="path_index"):
+        generate_paths(seed=1, path_index=-1, steps_fine=4, dim_noise=1, horizon=1.0)
+    with pytest.raises(ValueError, match="2\\*\\*32"):
+        generate_paths(seed=1, path_index=2**32, steps_fine=4, dim_noise=1, horizon=1.0)
+    for seed, index in ((1.5, 0), (np.float64(2.0), 0), (1, 1.5), (1, np.float64(3.0))):
+        with pytest.raises(TypeError):
+            generate_paths(seed=seed, path_index=index, steps_fine=4, dim_noise=1, horizon=1.0)
+    last = generate_paths(seed=1, path_index=2**32 - 1, steps_fine=4, dim_noise=1, horizon=1.0)
+    assert np.array_equal(last.increments, _seed_sequence_draw(1, 2**32 - 1, 4, 1, 1.0))
+
+
+# ------------------------------------------------------------------
+# Stream keys and draws pinned to numpy's SeedSequence -> Philox
+# ------------------------------------------------------------------
+
+EDGE_SEEDS = [
+    0, 1, 7, 2**31 + 5, 2**32 - 1, 2**32, 2**64 + 3, 2**100 + 12345,
+    2**128 - 1, 2**128, 2**200 + 7, 2**300 - 1, SEED,
+]
+
+
+def _seed_sequence_key(seed, index):
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
+    return np.random.Philox(ss).state["state"]["key"]
+
+
+def _seed_sequence_draw(seed, index, steps, dim_noise, horizon):
+    """The per-path formula the streams are defined by."""
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
+    gen = np.random.Generator(np.random.Philox(ss))
+    return gen.normal(loc=0.0, scale=np.sqrt(horizon / steps), size=(steps, dim_noise))
+
+
+def _assert_keys_match(seed, lo, hi):
+    keys = _stream_keys(seed, lo, hi)
+    assert keys.dtype == np.uint64 and keys.shape == (hi - lo, 2)
+    expected = np.array([_seed_sequence_key(seed, i) for i in range(lo, hi)])
+    assert np.array_equal(keys, expected), (seed, lo, hi)
+
+
+@pytest.mark.parametrize("seed", EDGE_SEEDS)
+def test_stream_keys_match_seed_sequence(seed):
+    for lo, hi in ((0, 600), (3990, 4100), (2**32 - 40, 2**32)):
+        _assert_keys_match(seed, lo, hi)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**256 - 1),
+    lo=st.integers(min_value=1, max_value=2**32 - 64),
+    width=st.integers(min_value=1, max_value=64),
+)
+def test_stream_keys_match_seed_sequence_anywhere(seed, lo, width):
+    _assert_keys_match(seed, lo, lo + width)
+
+
+@pytest.mark.parametrize("steps", [1, 20, 80, 2**14])
+@pytest.mark.parametrize("m", [1, 2])
+def test_draws_match_seed_sequence_bitwise(steps, m):
+    # 509..1029 spans the chunk boundaries at 512 and 1024; fewer paths on
+    # the 2^14-step grid keep the block small
+    lo, hi = (509, 1030) if steps <= 80 else (509, 517)
+    block = analysis._stack_increments(SEED, lo, hi, steps, m, 2.0)
+    expected = np.stack([_seed_sequence_draw(SEED, i, steps, m, 2.0) for i in range(lo, hi)])
+    assert block.shape == (hi - lo, steps, m)
+    assert np.array_equal(block.view(np.uint64), expected.view(np.uint64))
+    for i in (lo, 512, hi - 1):
+        bundle = generate_paths(seed=SEED, path_index=i, steps_fine=steps, dim_noise=m, horizon=2.0)
+        assert np.array_equal(bundle.increments.view(np.uint64), expected[i - lo].view(np.uint64))
+
+
+def test_restarted_generator_carries_no_state():
+    # odd normal counts leave Philox's output buffer part-used
+    gen = _generator()
+    keys = _stream_keys(SEED, 40, 43)
+    first = _draw_increments(gen, keys[0], 3, 1, 1.0)
+    second = _draw_increments(gen, keys[2], 5, 1, 1.0)
+    again = _draw_increments(gen, keys[0], 7, 1, 1.0)
+    assert np.array_equal(first, _seed_sequence_draw(SEED, 40, 3, 1, 1.0))
+    assert np.array_equal(second, _draw_increments(_generator(), keys[2], 5, 1, 1.0))
+    assert np.array_equal(second, _seed_sequence_draw(SEED, 42, 5, 1, 1.0))
+    assert np.array_equal(again, _seed_sequence_draw(SEED, 40, 7, 1, 1.0))
 
 
 # ------------------------------------------------------------------
@@ -152,6 +235,29 @@ def test_dump_layout(tmp_path):
     assert len(raw) == 32 + 4 * 8
     payload = np.frombuffer(raw[32:], dtype="<f8").reshape(4, 1)
     assert np.array_equal(payload, bundle.increments)
+
+
+def test_dump_round_trips_largest_seed(tmp_path):
+    bundle = generate_paths(seed=2**64 - 1, path_index=3, steps_fine=4, dim_noise=1, horizon=1.0)
+    target = tmp_path / "bundle.bin"
+    dump_bundle(bundle, target)
+    assert load_bundle(target).seed == 2**64 - 1
+
+
+@pytest.mark.parametrize(
+    "field, bundle",
+    [
+        ("seed", generate_paths(seed=2**64, path_index=0, steps_fine=4, dim_noise=1, horizon=1.0)),
+        ("seed", PathBundle(-1, 0, 1.0, 1, 1, np.zeros((1, 1)))),
+        ("steps", PathBundle(1, 0, 1.0, 2**32, 1, np.zeros((1, 1)))),
+        ("dim_noise", PathBundle(1, 0, 1.0, 1, 2**32, np.zeros((1, 1)))),
+    ],
+)
+def test_dump_rejects_fields_outside_the_header(tmp_path, field, bundle):
+    target = tmp_path / "bundle.bin"
+    with pytest.raises(ValueError, match=field):
+        dump_bundle(bundle, target)
+    assert not target.exists()
 
 
 def test_load_rejects_bad_magic(tmp_path):
