@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -62,6 +63,15 @@ __all__ = [
 # chunk boundaries, and therefore floating-point reduction order, are
 # identical no matter how many workers run.
 CHUNK_PATHS = 512
+
+# Held while a chunk steps. A step is a few dozen small numpy operations,
+# each of which drops and retakes the interpreter lock; two chunks stepping
+# at once hand that lock back and forth on every operation (about 3e5
+# context switches and twice the CPU time of one worker per full-width
+# study, varying with the host's load). Drawing increments runs mostly
+# outside the interpreter lock and still overlaps with another chunk's
+# stepping.
+_STEP_LOCK = threading.Lock()
 
 
 def _steps_for(horizon: float, stepsize: float) -> int:
@@ -126,8 +136,9 @@ def _available_cores() -> int:
 def _run_chunks(worker: Callable, paths: int, threads: int) -> list:
     """Run ``worker`` over every chunk, returning results in chunk order.
 
-    At most one worker per chunk and per available core: the chunks contend
-    for the interpreter lock, so a thread beyond the cores only slows a run.
+    At most one worker per chunk and per available core. Workers draw their
+    increments concurrently and take turns stepping (``_STEP_LOCK``), so a
+    thread beyond the cores only costs its start-up.
     """
     ranges = _chunk_ranges(paths)
     workers = min(threads, len(ranges), _available_cores())
@@ -152,8 +163,9 @@ def _batch_endpoints(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Integrate a (batch, steps, m) block; return terminal states and a
     blow-up mask. Blown paths are frozen to the NaN sentinel; ``observe``
-    is passed on to :func:`schemes._propagate`."""
-    return _propagate(problem, step_function(scheme), increments, h, observe)
+    is passed on to :func:`schemes._propagate`. One chunk steps at a time."""
+    with _STEP_LOCK:
+        return _propagate(problem, step_function(scheme), increments, h, observe)
 
 
 def _batch_grid_moments(
