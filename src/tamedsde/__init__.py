@@ -29,7 +29,6 @@ from .schemes import (
 from .analysis import (
     ConvergenceReport,
     DissipativityReport,
-    MomentBound,
     MomentCurve,
     PowerLawFit,
     StabilityCurveEntry,
@@ -38,7 +37,6 @@ from .analysis import (
     StabilityThreshold,
     check_dissipativity,
     decay_rate,
-    empirical_moment_bound,
     fit_power_law,
     mean_square_curve,
     stability_study,
@@ -73,7 +71,6 @@ __all__ = [
     "ConvergenceReport",
     "PowerLawFit",
     "MomentCurve",
-    "MomentBound",
     "StabilityParams",
     "StabilityThreshold",
     "StabilityReport",
@@ -83,7 +80,6 @@ __all__ = [
     "strong_error_study",
     "strong_error_table",
     "mean_square_curve",
-    "empirical_moment_bound",
     "stability_threshold",
     "decay_rate",
     "check_dissipativity",

@@ -34,7 +34,13 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .model import EvaluationError, SdeProblem, drift_full
-from .paths import _coarsen_increments, _draw_increments, _generator, _stream_keys
+from .paths import (
+    _coarsen_increments,
+    _draw_increments,
+    _generator,
+    _scale_increments,
+    _stream_keys,
+)
 from .schemes import SchemeKind, _propagate, require_supported, step_function
 
 __all__ = [
@@ -42,7 +48,6 @@ __all__ = [
     "PowerLawFit",
     "ConvergenceReport",
     "MomentCurve",
-    "MomentBound",
     "StabilityParams",
     "StabilityThreshold",
     "DissipativityReport",
@@ -52,7 +57,6 @@ __all__ = [
     "strong_error_table",
     "strong_error_study",
     "mean_square_curve",
-    "empirical_moment_bound",
     "stability_threshold",
     "decay_rate",
     "check_dissipativity",
@@ -116,13 +120,14 @@ def _stack_increments(
     """Increments for paths lo..hi-1, identical to per-path generation.
 
     The chunk's keys are derived in one pass; one generator, private to this
-    call, is restarted per path.
+    call, is restarted per path and draws its standard normals straight into
+    the path's row, and the whole block is scaled once.
     """
     gen = _generator()
     block = np.empty((hi - lo, steps, dim_noise))
-    for row, key in zip(block, _stream_keys(seed, lo, hi)):
-        row[...] = _draw_increments(gen, key, steps, dim_noise, horizon)
-    return block
+    for row, key in zip(block, _stream_keys(seed, lo, hi).tolist()):
+        _draw_increments(gen, key, row)
+    return _scale_increments(block, steps, horizon)
 
 
 def _available_cores() -> int:
@@ -169,30 +174,33 @@ def _batch_endpoints(
 
 
 def _batch_grid_moments(
-    problem: SdeProblem,
-    scheme: SchemeKind,
-    increments: np.ndarray,
-    h: float,
-    powers: tuple[int, ...],
-) -> tuple[dict[int, np.ndarray], np.ndarray]:
-    """Accumulate sums of ``||Y_n||^p`` per gridpoint over one batch.
+    problem: SdeProblem, scheme: SchemeKind, increments: np.ndarray, h: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Accumulate sums of ``||Y_n||^2`` and ``||Y_n||^4`` per gridpoint over
+    one batch.
 
-    Returns per-power sum arrays of length steps+1 and the per-gridpoint
+    Returns the two sum arrays of length steps+1 and the per-gridpoint
     count of paths still finite. Dead paths stop contributing from the
-    step they blow up.
+    step they blow up. The sums are bitwise those of ``np.sum(live_sq)``
+    and ``np.sum(live_sq ** 2)`` over the live rows' squared norms.
     """
     n_steps = increments.shape[1]
-    sums = {p: np.zeros(n_steps + 1) for p in powers}
+    s2 = np.zeros(n_steps + 1)
+    s4 = np.zeros(n_steps + 1)
     counts = np.zeros(n_steps + 1, dtype=np.int64)
+    add = np.add.reduce
+    one_dim = problem.dim_state == 1
 
     def observe(n, x, alive):
-        live_sq = np.sum(x * x, axis=1)[alive]
+        sq = x * x
+        sq = sq.reshape(-1) if one_dim else add(sq, axis=1)
+        live_sq = sq if alive.all() else sq[alive]
         counts[n] = live_sq.size
-        for p in powers:
-            sums[p][n] = np.sum(live_sq ** (p // 2))
+        s2[n] = add(live_sq)
+        s4[n] = add(live_sq ** 2)
 
     _batch_endpoints(problem, scheme, increments, h, observe)
-    return sums, counts
+    return s2, s4, counts
 
 
 @dataclass(frozen=True)
@@ -427,8 +435,7 @@ def mean_square_curve(
 
     def worker(lo: int, hi: int):
         inc = _stack_increments(seed, lo, hi, steps, m, problem.horizon)
-        sums, counts = _batch_grid_moments(problem, kind, inc, stepsize, (2, 4))
-        return sums[2], sums[4], counts
+        return _batch_grid_moments(problem, kind, inc, stepsize)
 
     parts = _run_chunks(worker, paths, threads)
     s2 = np.sum([p[0] for p in parts], axis=0)
@@ -450,57 +457,6 @@ def mean_square_curve(
         counts=counts,
         blown_by_time=paths - counts,
         paths=paths,
-    )
-
-
-@dataclass(frozen=True)
-class MomentBound:
-    """Worst gridpoint value of an empirical moment, with blow-up tally."""
-
-    value: float
-    order: int
-    blown_up_count: int
-
-
-def empirical_moment_bound(
-    problem: SdeProblem,
-    scheme: "str | SchemeKind",
-    stepsize: float,
-    paths: int,
-    p: int,
-    seed: int,
-    threads: int = 1,
-    allow_noncommutative: bool = False,
-) -> MomentBound:
-    """Maximum over gridpoints of the empirical ``E ||Y_n||^p``.
-
-    Only even orders p in {2, 4, 6} are supported. Blown-up paths are
-    excluded from the averages and returned as a tally.
-    """
-    if p not in (2, 4, 6):
-        raise ValueError(f"moment order p must be one of 2, 4, 6; got {p}")
-    kind = require_supported(problem, scheme, allow_noncommutative)
-    steps = _steps_for(problem.horizon, stepsize)
-    if paths < 1:
-        raise ValueError(f"paths must be >= 1, got {paths}")
-    m = problem.dim_noise
-
-    def worker(lo: int, hi: int):
-        inc = _stack_increments(seed, lo, hi, steps, m, problem.horizon)
-        sums, counts = _batch_grid_moments(problem, kind, inc, stepsize, (p,))
-        return sums[p], counts
-
-    parts = _run_chunks(worker, paths, threads)
-    sp = np.sum([p_[0] for p_ in parts], axis=0)
-    counts = np.sum([p_[1] for p_ in parts], axis=0)
-    observed = counts > 0
-    if not np.any(observed):
-        raise EvaluationError("no finite gridpoint values to bound")
-    means = sp[observed] / counts[observed]
-    return MomentBound(
-        value=float(np.max(means)),
-        order=p,
-        blown_up_count=int(paths - counts[-1]),
     )
 
 

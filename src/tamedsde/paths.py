@@ -12,14 +12,17 @@ generator whose 128-bit key is bit-identical to the one numpy derives from
 generated in any order, bit-exactly. A Philox stream is fully set by its key,
 so the keys of a whole range of paths are derived in one vectorized pass of
 numpy's seed-sequence hashing, and a single generator is restarted per path
-by setting its state. Path indices lie in ``[0, 2**32)``: the derivation
-covers spawn keys of one 32-bit word. Coarsening sums blocks of fine
-increments, which is exactly the restriction of the same Brownian path to
-the coarser grid.
+by setting its state. Each path's standard normals are drawn straight into
+its row of one block, and the block is scaled once, bit-identical to
+drawing ``normal(0, sqrt(h))`` per path. Path indices lie in
+``[0, 2**32)``: the derivation covers spawn keys of one 32-bit word.
+Coarsening sums blocks of fine increments, which is exactly the restriction
+of the same Brownian path to the coarser grid.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 import struct
 from dataclasses import dataclass
@@ -105,14 +108,15 @@ def _generator() -> np.random.Generator:
     return np.random.Generator(np.random.Philox(0))  # fixed seed: no OS entropy
 
 
-def _draw_increments(
-    gen: np.random.Generator, key, steps: int, dim_noise: int, horizon: float
-) -> np.ndarray:
-    """The (steps, dim_noise) increment block of the stream with Philox ``key``.
+def _draw_increments(gen: np.random.Generator, key, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` with the standard normals of the stream with Philox ``key``.
 
-    ``gen`` is restarted at counter 0 with an empty buffer, exactly the state
-    a Philox freshly built from the stream's seed sequence has, so nothing
-    carries over from the stream drawn before.
+    ``key`` is the stream's two key words, ideally as Python ints (numpy
+    converts an array row element by element). ``gen`` is restarted at
+    counter 0 with an empty buffer, exactly the state a Philox freshly built
+    from the stream's seed sequence has, so nothing carries over from the
+    stream drawn before. :func:`_scale_increments` turns the normals into
+    increments.
     """
     gen.bit_generator.state = {
         "bit_generator": "Philox",
@@ -122,8 +126,19 @@ def _draw_increments(
         "has_uint32": 0,
         "uinteger": 0,
     }
-    scale = np.sqrt(horizon / steps)
-    return gen.normal(loc=0.0, scale=scale, size=(steps, dim_noise))
+    return gen.standard_normal(out=out)
+
+
+def _scale_increments(z: np.ndarray, steps: int, horizon: float) -> np.ndarray:
+    """Scale standard normals in place into N(0, horizon/steps) increments.
+
+    ``Generator.normal(0.0, s)`` returns ``0.0 + s * z`` per element, so
+    this equals it bitwise; adding the zero last turns a ``-0.0`` product
+    into ``+0.0`` as that formula does.
+    """
+    z *= math.sqrt(horizon / steps)
+    z += 0.0
+    return z
 
 
 def generate_paths(
@@ -151,8 +166,10 @@ def generate_paths(
         raise ValueError("seed and path_index must be nonnegative integers")
     if path_index >= 2**32:
         raise ValueError(f"path_index must be below 2**32, got {path_index}")
-    key = _stream_keys(seed, path_index, path_index + 1)[0]
-    increments = _draw_increments(_generator(), key, steps_fine, dim_noise, horizon)
+    key = _stream_keys(seed, path_index, path_index + 1).tolist()[0]
+    increments = np.empty((steps_fine, dim_noise))
+    _draw_increments(_generator(), key, increments)
+    _scale_increments(increments, steps_fine, horizon)
     return PathBundle(
         seed=seed,
         path_index=path_index,

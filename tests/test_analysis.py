@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 import threading
@@ -19,7 +20,6 @@ from tamedsde import (
     StabilityParams,
     check_dissipativity,
     decay_rate,
-    empirical_moment_bound,
     fit_power_law,
     mean_square_curve,
     stability_study,
@@ -30,7 +30,7 @@ from tamedsde import (
 from tamedsde import analysis
 from tamedsde.analysis import CHUNK_PATHS
 
-from conftest import SEED
+from conftest import SEED, make_diagonal_2d
 
 
 # ------------------------------------------------------------------
@@ -254,7 +254,7 @@ def test_study_argument_validation(unstable):
 
 
 # ------------------------------------------------------------------
-# Moment curves and bounds
+# Moment curves
 # ------------------------------------------------------------------
 
 def test_mean_square_curve_basics(stable):
@@ -290,28 +290,69 @@ def test_mean_square_curve_thread_determinism(stable):
     assert np.array_equal(serial.counts, threaded.counts)
 
 
-def test_moment_bound_matches_curve_peak(stable):
-    curve = mean_square_curve(stable, "semi-tamed-milstein", 0.25, paths=64, seed=SEED)
-    bound = empirical_moment_bound(
-        stable, "semi-tamed-milstein", 0.25, paths=64, p=2, seed=SEED
-    )
-    assert bound.order == 2
-    assert bound.blown_up_count == 0
-    assert bound.value == float(np.nanmax(curve.values))
+def _reference_grid_moments(problem, kind, increments, h):
+    """The moment observer's defining formula, one gridpoint at a time."""
+    n_steps = increments.shape[1]
+    s2, s4 = np.zeros(n_steps + 1), np.zeros(n_steps + 1)
+    counts = np.zeros(n_steps + 1, dtype=np.int64)
+
+    def observe(n, x, alive):
+        live_sq = np.sum(x * x, axis=1)[alive]
+        counts[n] = live_sq.size
+        s2[n] = np.sum(live_sq ** 1)
+        s4[n] = np.sum(live_sq ** 2)
+
+    analysis._batch_endpoints(problem, kind, increments, h, observe)
+    return s2, s4, counts
 
 
-def test_moment_bound_higher_orders(stable):
-    b2 = empirical_moment_bound(stable, "semi-tamed-milstein", 0.25, 64, p=2, seed=SEED)
-    b4 = empirical_moment_bound(stable, "semi-tamed-milstein", 0.25, 64, p=4, seed=SEED)
-    b6 = empirical_moment_bound(stable, "semi-tamed-milstein", 0.25, 64, p=6, seed=SEED)
-    # x0 = 1 makes every p-th moment start at 1; higher moments can only
-    # amplify spread, so the bounds are ordered
-    assert 1.0 <= b2.value <= b4.value <= b6.value
+def _with_start(problem, x0, horizon=2.0):
+    # building the problem probes its coefficients at x0, which may overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        return dataclasses.replace(problem, initial_value=np.array(x0), horizon=horizon)
 
 
-def test_moment_bound_rejects_odd_order(stable):
-    with pytest.raises(ValueError, match="2, 4, 6"):
-        empirical_moment_bound(stable, "em", 0.25, 8, p=3, seed=SEED)
+@pytest.mark.parametrize(
+    "case, kind, h, survivors",
+    [
+        ("stable-1d", "semi-tamed-milstein", 0.25, "all"),
+        ("unstable-1d", "em", 0.25, "some"),
+        ("unstable-1d-huge-start", "em", 0.25, "none"),
+        ("diagonal-2d", "semi-tamed-euler", 0.25, "all"),
+        ("diagonal-2d-large-start", "em", 0.25, "some"),
+        ("diagonal-2d-huge-start", "em", 0.25, "none"),
+        ("diagonal-2d", "em", 2.0, "all"),  # one step: gridpoints 0 and 1
+    ],
+)
+def test_grid_moments_match_the_defining_formula_bitwise(
+    case, kind, h, survivors, stable, unstable_long
+):
+    problem = {
+        "stable-1d": stable,
+        "unstable-1d": unstable_long,
+        "unstable-1d-huge-start": _with_start(unstable_long, [2.0**300]),
+        "diagonal-2d": _with_start(make_diagonal_2d(), [1.0, 0.5]),
+        "diagonal-2d-large-start": _with_start(make_diagonal_2d(), [2.5, 2.5]),
+        "diagonal-2d-huge-start": _with_start(make_diagonal_2d(), [2.0**400, 1.0]),
+    }[case]
+    steps = int(round(problem.horizon / h))
+    batch = 64
+    kind = SchemeKind(kind)
+    inc = analysis._stack_increments(SEED, 0, batch, steps, problem.dim_noise, problem.horizon)
+    s2, s4, counts = analysis._batch_grid_moments(problem, kind, inc, h)
+    r2, r4, r_counts = _reference_grid_moments(problem, kind, inc, h)
+    assert np.array_equal(counts, r_counts)
+    assert np.array_equal(s2.view(np.uint64), r2.view(np.uint64))
+    assert np.array_equal(s4.view(np.uint64), r4.view(np.uint64))
+    # gridpoint 0 sees every path at x0 (the huge starts square exactly)
+    x0_sq = float(np.sum(problem.initial_value**2))
+    assert counts[0] == batch and s2[0] == batch * x0_sq
+    if survivors == "all":
+        assert np.all(counts == batch)
+    elif survivors == "some":
+        assert 0 < counts[-1] < batch
+    else:
+        assert np.all(counts[1:] == 0) and np.all(s2[1:] == 0.0)
 
 
 # ------------------------------------------------------------------

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tamedsde import PathBundle, analysis, coarsen, dump_bundle, generate_paths, load_bundle
-from tamedsde.paths import _draw_increments, _generator, _stream_keys
+from tamedsde.paths import _draw_increments, _generator, _scale_increments, _stream_keys
 
 from conftest import SEED
 
@@ -117,17 +117,33 @@ def test_draws_match_seed_sequence_bitwise(steps, m):
         assert np.array_equal(bundle.increments.view(np.uint64), expected[i - lo].view(np.uint64))
 
 
+def _restarted_draw(gen, key, steps):
+    out = np.empty((steps, 1))
+    assert _draw_increments(gen, key, out) is out
+    return _scale_increments(out, steps, 1.0)
+
+
 def test_restarted_generator_carries_no_state():
     # odd normal counts leave Philox's output buffer part-used
     gen = _generator()
-    keys = _stream_keys(SEED, 40, 43)
-    first = _draw_increments(gen, keys[0], 3, 1, 1.0)
-    second = _draw_increments(gen, keys[2], 5, 1, 1.0)
-    again = _draw_increments(gen, keys[0], 7, 1, 1.0)
+    keys = _stream_keys(SEED, 40, 43).tolist()
+    first = _restarted_draw(gen, keys[0], 3)
+    second = _restarted_draw(gen, keys[2], 5)
+    again = _restarted_draw(gen, keys[0], 7)
     assert np.array_equal(first, _seed_sequence_draw(SEED, 40, 3, 1, 1.0))
-    assert np.array_equal(second, _draw_increments(_generator(), keys[2], 5, 1, 1.0))
+    assert np.array_equal(second, _restarted_draw(_generator(), keys[2], 5))
     assert np.array_equal(second, _seed_sequence_draw(SEED, 42, 5, 1, 1.0))
     assert np.array_equal(again, _seed_sequence_draw(SEED, 40, 7, 1, 1.0))
+
+
+def test_scaling_a_zero_draw_gives_positive_zero():
+    # Generator.normal(0.0, s) returns 0.0 + s * z, and 0.0 + (-0.0) is +0.0
+    scale = np.sqrt(1.0 / 4)
+    expected = 0.0 + scale * -0.0
+    assert not np.signbit(expected)
+    scaled = _scale_increments(np.array([[-0.0]]), 4, 1.0)
+    assert scaled[0, 0] == 0.0 and not np.signbit(scaled[0, 0])
+    assert np.array_equal(scaled.view(np.uint64), np.array([[expected]]).view(np.uint64))
 
 
 # ------------------------------------------------------------------
