@@ -14,7 +14,10 @@ import os
 import sys
 from pathlib import Path
 
-from tamedsde.cli import main as run_cli
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from tamedsde.cli import main as run_cli  # noqa: E402  (needs the path above)
 
 # (subcommand, config file, uses worker threads)
 DESK_JOBS = [
@@ -44,12 +47,11 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    root = Path(__file__).resolve().parent.parent
-    os.chdir(root)
+    os.chdir(ROOT)
 
     jobs = DESK_JOBS + ([FULL_JOB] if args.full else [])
     for kind, name, threaded in jobs:
-        cli_argv = [kind, "--config", str(root / "configs" / name)]
+        cli_argv = [kind, "--config", str(ROOT / "configs" / name)]
         if threaded:
             cli_argv += ["--threads", str(args.threads)]
         print(f"== {kind}: configs/{name}")

@@ -16,7 +16,7 @@ from .model import (
     drift_full,
     levy_product_coefficient,
 )
-from .paths import PathBundle, coarsen, dump_bundle, generate_paths, load_bundle
+from .paths import PathBundle, coarsen, generate_paths
 from .schemes import (
     SchemeKind,
     Trajectory,
@@ -41,7 +41,6 @@ from .analysis import (
     mean_square_curve,
     stability_study,
     stability_threshold,
-    strong_error_study,
     strong_error_table,
 )
 
@@ -59,8 +58,6 @@ __all__ = [
     "PathBundle",
     "generate_paths",
     "coarsen",
-    "dump_bundle",
-    "load_bundle",
     "SchemeKind",
     "Trajectory",
     "integrate",
@@ -77,7 +74,6 @@ __all__ = [
     "StabilityCurveEntry",
     "DissipativityReport",
     "fit_power_law",
-    "strong_error_study",
     "strong_error_table",
     "mean_square_curve",
     "stability_threshold",

@@ -5,7 +5,8 @@ same Brownian path is generated once on a fine grid, the reference scheme
 (semi-tamed Milstein by default) integrates it there, and each study
 stepsize integrates the block-summed coarse view of the identical path.
 The root-mean-square terminal gap over paths is then fitted to a power law
-``e(h) = C h^r`` in log-log space.
+``e(h) = C h^r`` in log-log space. Every driver here refuses a Milstein
+scheme, as study or reference, on noise not known to commute.
 
 Sample paths are processed in fixed-size chunks (``CHUNK_PATHS`` paths per
 chunk) whose boundaries depend only on the path index, and chunk results
@@ -55,7 +56,6 @@ __all__ = [
     "StabilityReport",
     "fit_power_law",
     "strong_error_table",
-    "strong_error_study",
     "mean_square_curve",
     "stability_threshold",
     "decay_rate",
@@ -269,7 +269,6 @@ def strong_error_table(
     reference_steps: Optional[int] = None,
     reference_scheme: "str | SchemeKind" = SchemeKind.SEMI_TAMED_MILSTEIN,
     threads: int = 1,
-    allow_noncommutative: bool = False,
 ) -> dict[SchemeKind, ConvergenceReport]:
     """Run one coupled strong-error study for several schemes at once.
 
@@ -277,12 +276,10 @@ def strong_error_table(
     Brownian paths, so cross-scheme comparisons are on identical noise.
     ``reference_steps`` defaults to eight times the finest study grid.
     """
-    scheme_kinds = [
-        require_supported(problem, s, allow_noncommutative) for s in schemes
-    ]
+    scheme_kinds = [require_supported(problem, s) for s in schemes]
     if len(scheme_kinds) == 0:
         raise ValueError("need at least one scheme")
-    ref_kind = require_supported(problem, reference_scheme, allow_noncommutative)
+    ref_kind = require_supported(problem, reference_scheme)
     if paths < 1:
         raise ValueError(f"paths must be >= 1, got {paths}")
 
@@ -363,32 +360,6 @@ def strong_error_table(
     return reports
 
 
-def strong_error_study(
-    problem: SdeProblem,
-    scheme: "str | SchemeKind",
-    stepsizes: Sequence[float],
-    paths: int,
-    seed: int,
-    reference_steps: Optional[int] = None,
-    reference_scheme: "str | SchemeKind" = SchemeKind.SEMI_TAMED_MILSTEIN,
-    threads: int = 1,
-    allow_noncommutative: bool = False,
-) -> ConvergenceReport:
-    """Strong-error study of a single scheme (see :func:`strong_error_table`)."""
-    table = strong_error_table(
-        problem,
-        [scheme],
-        stepsizes,
-        paths,
-        seed,
-        reference_steps=reference_steps,
-        reference_scheme=reference_scheme,
-        threads=threads,
-        allow_noncommutative=allow_noncommutative,
-    )
-    return next(iter(table.values()))
-
-
 @dataclass(frozen=True)
 class MomentCurve:
     """Empirical moment of the numerical solution along the grid.
@@ -419,7 +390,6 @@ def mean_square_curve(
     paths: int,
     seed: int,
     threads: int = 1,
-    allow_noncommutative: bool = False,
 ) -> MomentCurve:
     """Empirical ``E ||Y_n||^2`` on the grid of ``stepsize``.
 
@@ -427,7 +397,7 @@ def mean_square_curve(
     per-gridpoint sample standard deviations of ``||Y_n||^2`` over
     surviving paths divided by sqrt(count).
     """
-    kind = require_supported(problem, scheme, allow_noncommutative)
+    kind = require_supported(problem, scheme)
     steps = _steps_for(problem.horizon, stepsize)
     if paths < 1:
         raise ValueError(f"paths must be >= 1, got {paths}")
@@ -650,7 +620,6 @@ def stability_study(
     seed: int,
     params: Optional[StabilityParams] = None,
     threads: int = 1,
-    allow_noncommutative: bool = False,
 ) -> StabilityReport:
     """Mean-square curves for every (scheme, stepsize) pair on shared noise.
 
@@ -663,13 +632,7 @@ def stability_study(
         kind = SchemeKind.from_name(scheme)
         for h in stepsizes:
             curve = mean_square_curve(
-                problem,
-                kind,
-                float(h),
-                paths,
-                seed,
-                threads=threads,
-                allow_noncommutative=allow_noncommutative,
+                problem, kind, float(h), paths, seed, threads=threads
             )
             entries.append(
                 StabilityCurveEntry(scheme=kind, stepsize=float(h), curve=curve)

@@ -144,12 +144,25 @@ def _fail(cfg: ExperimentConfig, key: str, message: str) -> ConfigError:
     return ConfigError(f"{cfg.anchor(key)}: {message}")
 
 
+def _as_float(raw) -> float:
+    """``raw`` as a float: NaN if it is not a real number, infinite if it is
+    an integer beyond float range."""
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        return math.nan
+    try:
+        return float(raw)
+    except OverflowError:
+        return math.inf if raw > 0 else -math.inf
+
+
 def _require_number(cfg, raw, key, *, integral=False, minimum=None, positive=False):
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise _fail(cfg, key, f"{key} must be a number, got {raw!r}")
-    if integral and not float(raw).is_integer():
+    if integral and isinstance(raw, float) and not raw.is_integer():
         raise _fail(cfg, key, f"{key} must be an integer, got {raw!r}")
-    value = int(raw) if integral else float(raw)
+    value = int(raw) if integral else _as_float(raw)
+    if not integral and not math.isfinite(value):
+        raise _fail(cfg, key, f"{key} must be finite, got {raw!r}")
     if positive and not value > 0:
         raise _fail(cfg, key, f"{key} must be positive, got {raw!r}")
     if minimum is not None and value < minimum:
@@ -161,6 +174,8 @@ _RANGE_RE = re.compile(r"2\^(-?\d+)\s*\.\.\s*2\^(-?\d+)")
 
 
 def _parse_stepsizes(cfg: ExperimentConfig, raw) -> list[float]:
+    """Stepsizes from a list of reals or a ``"2^a..2^b"`` range; every entry,
+    in either form, must be finite and positive."""
     if isinstance(raw, str):
         match = _RANGE_RE.fullmatch(raw.strip())
         if match is None:
@@ -171,21 +186,24 @@ def _parse_stepsizes(cfg: ExperimentConfig, raw) -> list[float]:
             )
         first, last = int(match.group(1)), int(match.group(2))
         direction = 1 if last >= first else -1
-        return [2.0**k for k in range(first, last + direction, direction)]
-    if isinstance(raw, list) and raw:
-        values = []
-        for item in raw:
-            if isinstance(item, bool) or not isinstance(item, (int, float)) or item <= 0:
-                raise _fail(
-                    cfg, "stepsizes", f"stepsizes entries must be positive reals, got {item!r}"
-                )
-            values.append(float(item))
-        return values
-    raise _fail(
-        cfg,
-        "stepsizes",
-        "stepsizes must be a nonempty list of positive reals or an exponent range string",
-    )
+        exponents = range(first, last + direction, direction)
+        entries = ((f"2^{k}", 2.0**k if k < 1024 else math.inf) for k in exponents)
+    elif isinstance(raw, list) and raw:
+        entries = ((repr(item), _as_float(item)) for item in raw)
+    else:
+        raise _fail(
+            cfg,
+            "stepsizes",
+            "stepsizes must be a nonempty list of positive reals or an exponent range string",
+        )
+    values = []
+    for shown, value in entries:  # lazily: a bad range fails within 2100 entries
+        if not (math.isfinite(value) and value > 0):
+            raise _fail(
+                cfg, "stepsizes", f"stepsizes entries must be finite positive reals, got {shown}"
+            )
+        values.append(value)
+    return values
 
 
 def _parse_stability_params(cfg: ExperimentConfig, raw) -> StabilityParams:
@@ -207,14 +225,8 @@ def _parse_stability_params(cfg: ExperimentConfig, raw) -> StabilityParams:
             raise _fail(cfg, name, f"stability_params.{name} must be a number")
     try:
         return StabilityParams(
-            rho=float(raw["rho"]),
-            theta=float(raw["theta"]),
-            lip_K=float(raw["lip_K"]),
-            beta=float(raw["beta"]),
-            v=float(raw["v"]),
-            v_bar=float(raw["v_bar"]),
-            alpha=float(raw["alpha"]),
-            m=int(raw["m"]),
+            **{name: _as_float(raw[name]) for name in _PARAM_KEYS - {"m"}},
+            m=_require_number(cfg, raw["m"], "m", integral=True),
         )
     except ValueError as exc:
         raise _fail(cfg, "stability_params", f"invalid stability_params: {exc}") from None
@@ -482,7 +494,7 @@ def _run_simulate(cfg: ExperimentConfig, out_dir: str) -> list[str]:
                 bundle = generate_paths(
                     cfg.seed, k, n_steps, problem.dim_noise, problem.horizon
                 )
-                traj = integrate(problem, kind, bundle, record_full=True)
+                traj = integrate(problem, kind, bundle)
                 rows = [header]
                 finite = np.all(np.isfinite(traj.states), axis=1)
                 for n in range(traj.times.size):

@@ -24,15 +24,11 @@ from __future__ import annotations
 
 import math
 import operator
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["PathBundle", "generate_paths", "coarsen", "dump_bundle", "load_bundle"]
-
-_MAGIC = b"STMLPATH"
-_HEADER = struct.Struct("<8sQIId")  # magic, seed, steps, noise dim, horizon
+__all__ = ["PathBundle", "generate_paths", "coarsen"]
 
 
 @dataclass(frozen=True)
@@ -211,63 +207,3 @@ def coarsen(bundle: PathBundle, factor: int) -> PathBundle:
         coarse_factor=bundle.coarse_factor * factor,
     )
 
-
-def dump_bundle(bundle: PathBundle, path: str) -> None:
-    """Write a bundle to a flat binary file (debugging aid).
-
-    Layout: a 32-byte header (magic ``STMLPATH``, seed as u64, step count
-    as u32, noise dimension as u32, horizon as f64, all little-endian)
-    followed by the increments as row-major little-endian float64. The
-    header carries grid metadata only; path index and coarsening factor
-    are not persisted.
-
-    Raises
-    ------
-    ValueError
-        If the seed is not in ``[0, 2**64)`` or the step count or noise
-        dimension is not in ``[0, 2**32)``; nothing is written then.
-    """
-    for name, value, bits in (
-        ("seed", bundle.seed, 64),
-        ("steps", bundle.steps_fine, 32),
-        ("dim_noise", bundle.dim_noise, 32),
-    ):
-        if not 0 <= value < 2**bits:
-            raise ValueError(f"{name} must be in [0, 2**{bits}) to be dumped, got {value}")
-    header = _HEADER.pack(
-        _MAGIC,
-        bundle.seed,
-        bundle.steps_fine,
-        bundle.dim_noise,
-        bundle.horizon,
-    )
-    payload = np.ascontiguousarray(bundle.increments, dtype="<f8").tobytes()
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(payload)
-
-
-def load_bundle(path: str) -> PathBundle:
-    """Read a bundle written by :func:`dump_bundle`, bit-exactly."""
-    with open(path, "rb") as fh:
-        raw_header = fh.read(_HEADER.size)
-        if len(raw_header) != _HEADER.size:
-            raise ValueError(f"{path}: truncated header")
-        magic, seed, steps, dim_noise, horizon = _HEADER.unpack(raw_header)
-        if magic != _MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}, expected {_MAGIC!r}")
-        payload = fh.read()
-    expected = steps * dim_noise * 8
-    if len(payload) != expected:
-        raise ValueError(
-            f"{path}: payload has {len(payload)} bytes, expected {expected}"
-        )
-    increments = np.frombuffer(payload, dtype="<f8").reshape(steps, dim_noise).copy()
-    return PathBundle(
-        seed=seed,
-        path_index=0,
-        horizon=horizon,
-        steps_fine=steps,
-        dim_noise=dim_noise,
-        increments=increments,
-    )

@@ -215,7 +215,7 @@ def require_supported(
         raise ValueError(
             f"problem {problem.label!r} declares non-commutative noise; "
             f"{scheme.value} requires commutative noise "
-            "(pass allow_noncommutative=True to override)"
+            "(override with allow_noncommutative=True on integrate or require_supported)"
         )
     report = check_commutativity(problem, _default_check_points(problem))
     if not report.passed:
@@ -223,7 +223,8 @@ def require_supported(
             f"problem {problem.label!r} fails the commutativity check "
             f"(max violation {report.max_violation:.3e} > tolerance "
             f"{report.tolerance:.3e}); {scheme.value} requires commutative "
-            "noise (pass allow_noncommutative=True to override)"
+            "noise (override with allow_noncommutative=True on integrate or "
+            "require_supported)"
         )
     return scheme
 
@@ -234,8 +235,7 @@ class Trajectory:
 
     ``states[k]`` is the state at ``times[k]``. After a blow-up (first
     non-finite state) every remaining row holds the NaN sentinel and
-    ``blew_up`` is set. With ``record_full=False`` only the first and
-    last gridpoints are kept.
+    ``blew_up`` is set.
     """
 
     times: np.ndarray
@@ -252,7 +252,6 @@ def integrate(
     problem: SdeProblem,
     scheme: "str | SchemeKind",
     bundle: PathBundle,
-    record_full: bool = True,
     allow_noncommutative: bool = False,
 ) -> Trajectory:
     """Apply a scheme along one increment bundle.
@@ -277,20 +276,15 @@ def integrate(
         )
     n_steps = bundle.steps_fine
     h = bundle.horizon / n_steps
-    observe = None
-    if record_full:
-        states = np.full((n_steps + 1, problem.dim_state), np.nan)
-        times = np.arange(n_steps + 1) * h
+    states = np.full((n_steps + 1, problem.dim_state), np.nan)
 
-        def observe(n, x, alive):
-            states[n] = x[0]
+    def observe(n, x, alive):
+        states[n] = x[0]
 
-    final, blown = _propagate(
+    _, blown = _propagate(
         problem, step_function(scheme), bundle.increments[None], h, observe
     )
-    if not record_full:
-        states = np.stack([problem.initial_value, final[0]])
-        times = np.array([0.0, n_steps * h])
+    times = np.arange(n_steps + 1) * h
     return Trajectory(times=times, states=states, blew_up=bool(blown[0]), step=h)
 
 

@@ -24,7 +24,6 @@ from tamedsde import (
     mean_square_curve,
     stability_study,
     stability_threshold,
-    strong_error_study,
     strong_error_table,
 )
 from tamedsde import analysis
@@ -72,10 +71,16 @@ def test_fit_tolerates_noise():
 # Strong-error studies
 # ------------------------------------------------------------------
 
+def _study(problem, scheme, stepsizes, **kwargs):
+    """The report of a one-scheme strong-error table."""
+    (report,) = strong_error_table(problem, [scheme], stepsizes, **kwargs).values()
+    return report
+
+
 def test_self_reference_gives_exact_zero(unstable):
     """Studying the reference scheme on the reference grid couples a path
     to itself: the gap is exactly zero and the fit is marked NaN."""
-    report = strong_error_study(
+    report = _study(
         unstable,
         "semi-tamed-milstein",
         stepsizes=[1.0 / 8, 1.0 / 16],
@@ -95,7 +100,7 @@ def test_self_reference_gives_exact_zero(unstable):
 
 def test_study_structure_and_decay(unstable):
     hs = [2.0**-2, 2.0**-3, 2.0**-4, 2.0**-5]
-    report = strong_error_study(
+    report = _study(
         unstable, "semi-tamed-milstein", hs, paths=256, seed=SEED
     )
     assert report.scheme is SchemeKind.SEMI_TAMED_MILSTEIN
@@ -131,25 +136,11 @@ def test_table_shares_reference(unstable):
         assert np.all(report.rms_errors > 0)
 
 
-def test_single_scheme_wrapper_matches_table(unstable):
-    hs = [2.0**-2, 2.0**-3]
-    report = strong_error_study(
-        unstable, "semi-tamed-euler", hs, paths=96, seed=SEED, reference_steps=64
-    )
-    table = strong_error_table(
-        unstable, ["semi-tamed-euler"], hs, paths=96, seed=SEED, reference_steps=64
-    )
-    twin = table[SchemeKind.SEMI_TAMED_EULER]
-    assert np.array_equal(report.rms_errors, twin.rms_errors)
-    assert np.array_equal(report.stderrs, twin.stderrs)
-    assert report.fit_order == twin.fit_order
-
-
 def test_thread_count_does_not_change_bits(unstable):
     hs = [2.0**-2, 2.0**-3]
     kwargs = dict(paths=3 * CHUNK_PATHS - 100, seed=SEED, reference_steps=64)
-    serial = strong_error_study(unstable, "semi-tamed-milstein", hs, **kwargs)
-    threaded = strong_error_study(
+    serial = _study(unstable, "semi-tamed-milstein", hs, **kwargs)
+    threaded = _study(
         unstable, "semi-tamed-milstein", hs, threads=4, **kwargs
     )
     assert np.array_equal(serial.rms_errors, threaded.rms_errors)
@@ -198,7 +189,7 @@ def test_available_cores_follows_affinity(monkeypatch):
 def test_blown_paths_are_excluded(unstable_long):
     """Untamed Euler on the doubled horizon loses paths; the study drops
     them from the average instead of polluting it."""
-    report = strong_error_study(
+    report = _study(
         unstable_long,
         "em",
         stepsizes=[1.0 / 4],
@@ -227,30 +218,67 @@ def test_all_paths_blown_raises():
         label="doomed",
     )
     with pytest.raises(EvaluationError, match="every path blew up"):
-        strong_error_study(
+        _study(
             doomed, "em", stepsizes=[0.5], paths=4, seed=SEED, reference_steps=64
         )
 
 
 def test_stepsize_must_divide_horizon(unstable):
     with pytest.raises(ValueError, match="divide"):
-        strong_error_study(unstable, "em", [0.3], paths=8, seed=SEED)
+        _study(unstable, "em", [0.3], paths=8, seed=SEED)
 
 
 def test_stepsizes_must_nest_in_reference(unstable):
     with pytest.raises(ValueError, match="nest"):
-        strong_error_study(
+        _study(
             unstable, "em", [0.25], paths=8, seed=SEED, reference_steps=6
         )
 
 
 def test_study_argument_validation(unstable):
     with pytest.raises(ValueError, match="paths"):
-        strong_error_study(unstable, "em", [0.25], paths=0, seed=SEED)
+        _study(unstable, "em", [0.25], paths=0, seed=SEED)
     with pytest.raises(ValueError, match="stepsize"):
-        strong_error_study(unstable, "em", [], paths=8, seed=SEED)
+        _study(unstable, "em", [], paths=8, seed=SEED)
     with pytest.raises(ValueError, match="scheme"):
         strong_error_table(unstable, [], [0.25], paths=8, seed=SEED)
+
+
+# Each Monte Carlo driver on swapped_2d, with a Milstein scheme in one role.
+MILSTEIN_DRIVER_CALLS = {
+    "table-study-scheme": lambda p: strong_error_table(
+        p, ["tamed-milstein"], [0.25], paths=4, seed=SEED, reference_scheme="em"
+    ),
+    "table-reference-scheme": lambda p: strong_error_table(
+        p, ["em"], [0.25], paths=4, seed=SEED, reference_scheme="tamed-milstein"
+    ),
+    "mean-square-curve": lambda p: mean_square_curve(
+        p, "semi-tamed-milstein", 0.25, paths=4, seed=SEED
+    ),
+    "stability-study": lambda p: stability_study(
+        p, ["em", "semi-tamed-milstein"], [0.25], paths=4, seed=SEED
+    ),
+}
+
+
+@pytest.mark.parametrize("driver", sorted(MILSTEIN_DRIVER_CALLS))
+def test_drivers_refuse_milstein_on_noncommutative_noise(swapped_2d, driver):
+    """The drivers take no override: the refusal names where one lives."""
+    with pytest.raises(ValueError, match="commut") as err:
+        MILSTEIN_DRIVER_CALLS[driver](swapped_2d)
+    assert "integrate or require_supported" in str(err.value)
+
+
+def test_drivers_run_em_on_noncommutative_noise(swapped_2d):
+    table = strong_error_table(
+        swapped_2d, ["em"], [0.25, 0.125], paths=8, seed=SEED, reference_scheme="em"
+    )
+    assert np.all(table[SchemeKind.EULER_MARUYAMA].rms_errors > 0)
+    curve = mean_square_curve(swapped_2d, "em", 0.25, paths=8, seed=SEED)
+    assert curve.values[0] == 5.0  # ||(1, 2)||^2
+    assert np.all(curve.counts == 8)
+    report = stability_study(swapped_2d, ["em"], [0.25], paths=8, seed=SEED)
+    assert np.array_equal(report.entries[0].curve.values, curve.values)
 
 
 # ------------------------------------------------------------------

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
+import pkgutil
 import shutil
 import subprocess
 import sys
@@ -160,6 +162,66 @@ def test_negative_stepsize_rejected(tmp_path):
 def test_empty_stepsizes_rejected(tmp_path):
     path = write_config(tmp_path, converge_payload(stepsizes=[]))
     with pytest.raises(ConfigError, match="nonempty"):
+        load_config(path)
+
+
+@pytest.mark.parametrize(
+    "stepsizes, shown",
+    [
+        ('"2^1100..2^1101"', "2^1100"),  # beyond float range
+        ('"2^-1074..2^-1076"', "2^-1075"),  # underflows to zero
+        ("[1e400, 0.125]", "inf"),  # JSON reads 1e400 as inf
+        ("[0.125, " + str(10**400) + "]", str(10**400)),  # an int beyond float range
+        ("[0.125, NaN]", "nan"),
+    ],
+    ids=["range-overflow", "range-underflow", "list-inf", "list-huge-int", "list-nan"],
+)
+def test_nonfinite_or_zero_stepsizes_rejected(tmp_path, capsys, stepsizes, shown):
+    """Both stepsize forms get one check: finite and positive, else exit 2
+    with the message anchored at the stepsizes key."""
+    payload = threshold_payload(output_dir=str(tmp_path / "out"), stepsizes="@")
+    text = json.dumps(payload, indent=2).replace('"@"', stepsizes)
+    path = write_config(tmp_path, text)
+    lineno = line_of(path, '"stepsizes"')
+    with pytest.raises(ConfigError, match=rf"{path}:{lineno}: .*finite positive") as err:
+        load_config(path)
+    assert str(err.value).endswith(f"got {shown}")
+    assert main(["threshold", "--config", path]) == 2
+    assert f"{path}:{lineno}:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_stepsize_range_keeps_subnormals(tmp_path):
+    path = write_config(tmp_path, threshold_payload(stepsizes="2^-1073..2^-1074"))
+    assert load_config(path).stepsizes == [2.0**-1073, 2.0**-1074]
+
+
+@pytest.mark.parametrize(
+    "key, raw, message",
+    [
+        ("horizon", str(10**400), "horizon must be finite"),
+        ("horizon", "Infinity", "horizon must be finite"),
+        ("sample_low", "NaN", "sample_low must be finite"),
+    ],
+    ids=["horizon-huge-int", "horizon-inf", "sample-low-nan"],
+)
+def test_nonfinite_reals_rejected(tmp_path, key, raw, message):
+    payload = {"kind": "check", "model": "ginzburg-landau-stable", key: "@"}
+    path = write_config(tmp_path, json.dumps(payload, indent=2).replace('"@"', raw))
+    lineno = line_of(path, f'"{key}"')
+    with pytest.raises(ConfigError, match=rf"{path}:{lineno}: {message}"):
+        load_config(path)
+
+
+def test_param_block_huge_values(tmp_path):
+    payload = threshold_payload()
+    payload["stability_params"]["rho"] = 10**400
+    path = write_config(tmp_path, payload)
+    with pytest.raises(ConfigError, match="invalid stability_params: rho must be finite"):
+        load_config(path)
+    payload["stability_params"].update(rho=2.0, m=2.5)
+    path = write_config(tmp_path, payload)
+    with pytest.raises(ConfigError, match="m must be an integer"):
         load_config(path)
 
 
@@ -422,6 +484,25 @@ def test_simulate_outputs(tmp_path):
     assert times == pytest.approx([0.25 * k for k in range(21)])
 
 
+def test_simulate_accepts_a_seed_beyond_float_range(tmp_path):
+    """Seeds are any nonnegative integer, including ones no float can hold."""
+    payload = {
+        "kind": "simulate",
+        "model": "ginzburg-landau-stable",
+        "schemes": ["em"],
+        "stepsizes": [0.25],
+        "paths": 1,
+        "seed": 10**400,
+        "output_dir": str(tmp_path / "out"),
+    }
+    path = write_config(tmp_path, payload)
+    assert load_config(path).seed == 10**400
+    assert main(["simulate", "--config", path]) == 0
+    lines = (tmp_path / "out" / "trajectory_em_h0.25_p0.csv").read_text().splitlines()
+    assert len(lines) == 1 + 21
+    assert lines[1] == "0.0,1.0"
+
+
 def test_simulate_truncates_blown_path(tmp_path, capsys):
     payload = {
         "kind": "simulate",
@@ -677,3 +758,38 @@ def test_installed_console_script():
     module = _run_python("-m", "tamedsde.cli", "list-models")
     assert module.returncode == 0, module.stderr
     assert module.stdout == proc.stdout
+
+
+def test_run_experiments_script_runs_from_a_checkout(tmp_path):
+    """The shipped-experiments script finds the package without PYTHONPATH."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "run_experiments.py"), "--help"],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "--full" in proc.stdout
+
+
+# ------------------------------------------------------------------
+# Package surface
+# ------------------------------------------------------------------
+
+def test_every_export_resolves():
+    """Each ``__all__`` name exists on its module, so a deletion that leaves
+    an export behind fails here."""
+    modules = [tamedsde] + [
+        importlib.import_module(f"tamedsde.{info.name}")
+        for info in pkgutil.iter_modules(tamedsde.__path__)
+    ]
+    assert len(modules) > 5
+    for module in modules:
+        exported = getattr(module, "__all__", [])
+        missing = [name for name in exported if not hasattr(module, name)]
+        assert not missing, f"{module.__name__}: {missing}"
+        namespace = {}
+        exec(f"from {module.__name__} import *", namespace)
+        assert set(exported) <= set(namespace), module.__name__

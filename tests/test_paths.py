@@ -1,4 +1,4 @@
-"""Increment generation, coarsening, and binary dump round-trips."""
+"""Increment generation, stream keys, and coarsening."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tamedsde import PathBundle, analysis, coarsen, dump_bundle, generate_paths, load_bundle
+from tamedsde import PathBundle, analysis, coarsen, generate_paths
 from tamedsde.paths import _draw_increments, _generator, _scale_increments, _stream_keys
 
 from conftest import SEED
@@ -227,76 +227,8 @@ def test_coarsen_associativity(seed, m):
 
 
 # ------------------------------------------------------------------
-# Binary dumps
+# Bundle records
 # ------------------------------------------------------------------
-
-def test_dump_load_round_trip(tmp_path):
-    bundle = generate_paths(seed=SEED, path_index=5, steps_fine=128, dim_noise=2, horizon=3.0)
-    target = tmp_path / "bundle.bin"
-    dump_bundle(bundle, target)
-    loaded = load_bundle(target)
-    assert loaded.seed == bundle.seed
-    assert loaded.steps_fine == bundle.steps_fine
-    assert loaded.dim_noise == bundle.dim_noise
-    assert loaded.horizon == bundle.horizon
-    assert np.array_equal(loaded.increments, bundle.increments)
-
-
-def test_dump_layout(tmp_path):
-    bundle = generate_paths(seed=9, path_index=0, steps_fine=4, dim_noise=1, horizon=1.0)
-    target = tmp_path / "bundle.bin"
-    dump_bundle(bundle, target)
-    raw = target.read_bytes()
-    assert raw[:8] == b"STMLPATH"
-    assert len(raw) == 32 + 4 * 8
-    payload = np.frombuffer(raw[32:], dtype="<f8").reshape(4, 1)
-    assert np.array_equal(payload, bundle.increments)
-
-
-def test_dump_round_trips_largest_seed(tmp_path):
-    bundle = generate_paths(seed=2**64 - 1, path_index=3, steps_fine=4, dim_noise=1, horizon=1.0)
-    target = tmp_path / "bundle.bin"
-    dump_bundle(bundle, target)
-    assert load_bundle(target).seed == 2**64 - 1
-
-
-@pytest.mark.parametrize(
-    "field, bundle",
-    [
-        ("seed", generate_paths(seed=2**64, path_index=0, steps_fine=4, dim_noise=1, horizon=1.0)),
-        ("seed", PathBundle(-1, 0, 1.0, 1, 1, np.zeros((1, 1)))),
-        ("steps", PathBundle(1, 0, 1.0, 2**32, 1, np.zeros((1, 1)))),
-        ("dim_noise", PathBundle(1, 0, 1.0, 1, 2**32, np.zeros((1, 1)))),
-    ],
-)
-def test_dump_rejects_fields_outside_the_header(tmp_path, field, bundle):
-    target = tmp_path / "bundle.bin"
-    with pytest.raises(ValueError, match=field):
-        dump_bundle(bundle, target)
-    assert not target.exists()
-
-
-def test_load_rejects_bad_magic(tmp_path):
-    target = tmp_path / "bad.bin"
-    target.write_bytes(b"NOTMAGIC" + bytes(64))
-    with pytest.raises(ValueError, match="magic"):
-        load_bundle(target)
-
-
-def test_load_rejects_truncation(tmp_path):
-    bundle = generate_paths(seed=9, path_index=0, steps_fine=8, dim_noise=1, horizon=1.0)
-    target = tmp_path / "cut.bin"
-    dump_bundle(bundle, target)
-    raw = target.read_bytes()
-    # cut inside the payload
-    target.write_bytes(raw[:-8])
-    with pytest.raises(ValueError, match="expected"):
-        load_bundle(target)
-    # cut inside the header
-    target.write_bytes(raw[:16])
-    with pytest.raises(ValueError, match="truncated header"):
-        load_bundle(target)
-
 
 def test_bundle_is_frozen():
     bundle = generate_paths(seed=1, path_index=0, steps_fine=4, dim_noise=1, horizon=1.0)

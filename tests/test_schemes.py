@@ -307,15 +307,6 @@ def test_integrate_grid_and_values(unstable):
     assert np.array_equal(traj.final_state, x)
 
 
-def test_integrate_endpoints_only(unstable):
-    bundle = generate_paths(seed=SEED, path_index=3, steps_fine=16, dim_noise=1, horizon=1.0)
-    full = integrate(unstable, "semi-tamed-milstein", bundle)
-    thin = integrate(unstable, "semi-tamed-milstein", bundle, record_full=False)
-    assert thin.states.shape == (2, 1)
-    assert np.array_equal(thin.times, [0.0, 1.0])
-    assert np.array_equal(thin.final_state, full.final_state)
-
-
 def test_integrate_rejects_noise_mismatch(unstable):
     bundle = generate_paths(seed=SEED, path_index=0, steps_fine=8, dim_noise=2, horizon=1.0)
     with pytest.raises(ValueError, match="dim_noise"):
@@ -354,7 +345,7 @@ def test_blow_up_census_contrast(unstable_long):
     for k in range(paths):
         bundle = generate_paths(seed=SEED, path_index=k, steps_fine=8, dim_noise=1, horizon=2.0)
         for name in counts:
-            if integrate(unstable_long, name, bundle, record_full=False).blew_up:
+            if integrate(unstable_long, name, bundle).blew_up:
                 counts[name] += 1
     assert counts["em"] >= 1
     for name, n_blown in counts.items():
@@ -372,7 +363,7 @@ def test_integrate_is_a_batch_of_one(unstable_long):
     stacked = np.stack([b.increments for b in bundles])
     for kind in SchemeKind:
         batch_final, batch_blown = analysis._batch_endpoints(unstable_long, kind, stacked, 0.25)
-        trajs = [integrate(unstable_long, kind, b, record_full=False) for b in bundles]
+        trajs = [integrate(unstable_long, kind, b) for b in bundles]
         final = np.stack([t.final_state for t in trajs])
         assert np.array_equal(final, batch_final, equal_nan=True), kind
         assert np.array_equal([t.blew_up for t in trajs], batch_blown), kind
