@@ -19,15 +19,15 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from tamedsde.cli import main as run_cli  # noqa: E402  (needs the path above)
 
-# (subcommand, config file, uses worker threads)
+# (subcommand, config file)
 DESK_JOBS = [
-    ("check", "check_models.json", False),
-    ("threshold", "threshold_stable.json", False),
-    ("converge", "convergence_smoke.json", True),
-    ("stability", "stability_grid.json", True),
-    ("simulate", "simulate_sample.json", False),
+    ("check", "check_models.json"),
+    ("threshold", "threshold_stable.json"),
+    ("converge", "convergence_smoke.json"),
+    ("stability", "stability_grid.json"),
+    ("simulate", "simulate_sample.json"),
 ]
-FULL_JOB = ("converge", "convergence_full.json", True)
+FULL_JOB = ("converge", "convergence_full.json")
 
 
 def main(argv=None) -> int:
@@ -50,10 +50,8 @@ def main(argv=None) -> int:
     os.chdir(ROOT)
 
     jobs = DESK_JOBS + ([FULL_JOB] if args.full else [])
-    for kind, name, threaded in jobs:
-        cli_argv = [kind, "--config", str(ROOT / "configs" / name)]
-        if threaded:
-            cli_argv += ["--threads", str(args.threads)]
+    for kind, name in jobs:
+        cli_argv = [kind, "--config", str(ROOT / "configs" / name), "--threads", str(args.threads)]
         print(f"== {kind}: configs/{name}")
         code = run_cli(cli_argv)
         if code != 0:

@@ -6,79 +6,12 @@ whole drift or only the one-sided part, and provides a reproducible Monte
 Carlo harness for strong-convergence and mean-square stability studies.
 """
 
-from .model import (
-    CommutativityReport,
-    EvaluationError,
-    SdeProblem,
-    builtin_problem,
-    builtin_problem_names,
-    check_commutativity,
-    drift_full,
-    levy_product_coefficient,
-)
-from .paths import PathBundle, coarsen, generate_paths
-from .schemes import (
-    SchemeKind,
-    Trajectory,
-    integrate,
-    milstein_correction,
-    require_supported,
-    step_function,
-    tame,
-)
-from .analysis import (
-    ConvergenceReport,
-    DissipativityReport,
-    MomentCurve,
-    PowerLawFit,
-    StabilityCurveEntry,
-    StabilityParams,
-    StabilityReport,
-    StabilityThreshold,
-    check_dissipativity,
-    decay_rate,
-    fit_power_law,
-    mean_square_curve,
-    stability_study,
-    stability_threshold,
-    strong_error_table,
-)
+from . import analysis, model, paths, schemes
+from .model import *  # noqa: F403  (each module's own __all__)
+from .paths import *  # noqa: F403
+from .schemes import *  # noqa: F403
+from .analysis import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "SdeProblem",
-    "CommutativityReport",
-    "EvaluationError",
-    "builtin_problem",
-    "builtin_problem_names",
-    "check_commutativity",
-    "drift_full",
-    "levy_product_coefficient",
-    "PathBundle",
-    "generate_paths",
-    "coarsen",
-    "SchemeKind",
-    "Trajectory",
-    "integrate",
-    "tame",
-    "require_supported",
-    "step_function",
-    "milstein_correction",
-    "ConvergenceReport",
-    "PowerLawFit",
-    "MomentCurve",
-    "StabilityParams",
-    "StabilityThreshold",
-    "StabilityReport",
-    "StabilityCurveEntry",
-    "DissipativityReport",
-    "fit_power_law",
-    "strong_error_table",
-    "mean_square_curve",
-    "stability_threshold",
-    "decay_rate",
-    "check_dissipativity",
-    "stability_study",
-    "__version__",
-]
+__all__ = [*model.__all__, *paths.__all__, *schemes.__all__, *analysis.__all__, "__version__"]

@@ -36,6 +36,7 @@ import numpy as np
 
 from .model import EvaluationError, SdeProblem, drift_full
 from .paths import (
+    _MAX_PATHS,
     _coarsen_increments,
     _draw_increments,
     _generator,
@@ -108,6 +109,13 @@ def _nested_steps(
                 f"grid of {reference_steps} steps"
             )
     return steps_list, reference_steps
+
+
+def _check_paths(paths: int) -> None:
+    if paths < 1:
+        raise ValueError(f"paths must be >= 1, got {paths}")
+    if paths > _MAX_PATHS:
+        raise ValueError(f"paths must be <= {_MAX_PATHS}, got {paths}")
 
 
 def _chunk_ranges(paths: int) -> list[tuple[int, int]]:
@@ -280,8 +288,7 @@ def strong_error_table(
     if len(scheme_kinds) == 0:
         raise ValueError("need at least one scheme")
     ref_kind = require_supported(problem, reference_scheme)
-    if paths < 1:
-        raise ValueError(f"paths must be >= 1, got {paths}")
+    _check_paths(paths)
 
     hs = np.asarray(sorted(set(float(h) for h in stepsizes), reverse=True))
     if hs.size == 0:
@@ -399,8 +406,7 @@ def mean_square_curve(
     """
     kind = require_supported(problem, scheme)
     steps = _steps_for(problem.horizon, stepsize)
-    if paths < 1:
-        raise ValueError(f"paths must be >= 1, got {paths}")
+    _check_paths(paths)
     m = problem.dim_noise
 
     def worker(lo: int, hi: int):
@@ -625,20 +631,22 @@ def stability_study(
 
     All pairs reuse the same per-path streams (the grid resolution varies
     with the stepsize), so scheme comparisons at a fixed stepsize are on
-    identical Brownian paths.
+    identical Brownian paths. Every scheme, stepsize and the path count are
+    checked before the first curve runs.
     """
-    entries = []
-    for scheme in schemes:
-        kind = SchemeKind.from_name(scheme)
-        for h in stepsizes:
-            curve = mean_square_curve(
-                problem, kind, float(h), paths, seed, threads=threads
-            )
-            entries.append(
-                StabilityCurveEntry(scheme=kind, stepsize=float(h), curve=curve)
-            )
-    if params is not None:
-        return StabilityReport(
-            entries=entries, params=params, threshold=stability_threshold(params)
+    kinds = [require_supported(problem, s) for s in schemes]
+    hs = [float(h) for h in stepsizes]
+    for h in hs:
+        _steps_for(problem.horizon, h)
+    _check_paths(paths)
+    entries = [
+        StabilityCurveEntry(
+            scheme=kind,
+            stepsize=h,
+            curve=mean_square_curve(problem, kind, h, paths, seed, threads=threads),
         )
-    return StabilityReport(entries=entries)
+        for kind in kinds
+        for h in hs
+    ]
+    threshold = None if params is None else stability_threshold(params)
+    return StabilityReport(entries=entries, params=params, threshold=threshold)

@@ -62,7 +62,7 @@ from .model import (
     builtin_problem_names,
     check_commutativity,
 )
-from .paths import generate_paths
+from .paths import _MAX_PATHS, generate_paths
 from .schemes import SchemeKind, integrate
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "run", "main"]
@@ -155,7 +155,7 @@ def _as_float(raw) -> float:
         return math.inf if raw > 0 else -math.inf
 
 
-def _require_number(cfg, raw, key, *, integral=False, minimum=None, positive=False):
+def _require_number(cfg, raw, key, *, integral=False, minimum=None, maximum=None, positive=False):
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise _fail(cfg, key, f"{key} must be a number, got {raw!r}")
     if integral and isinstance(raw, float) and not raw.is_integer():
@@ -167,6 +167,8 @@ def _require_number(cfg, raw, key, *, integral=False, minimum=None, positive=Fal
         raise _fail(cfg, key, f"{key} must be positive, got {raw!r}")
     if minimum is not None and value < minimum:
         raise _fail(cfg, key, f"{key} must be >= {minimum}, got {raw!r}")
+    if maximum is not None and value > maximum:
+        raise _fail(cfg, key, f"{key} must be <= {maximum}, got {raw!r}")
     return value
 
 
@@ -292,8 +294,12 @@ def load_config(path: str) -> ExperimentConfig:
         cfg.schemes = list(raw)
     if "stepsizes" in document:
         cfg.stepsizes = _parse_stepsizes(cfg, document["stepsizes"])
+        if kind == "converge" and len(set(cfg.stepsizes)) < 2:
+            raise _fail(cfg, "stepsizes", "converge needs at least two distinct stepsizes")
     if "paths" in document:
-        cfg.paths = _require_number(cfg, document["paths"], "paths", integral=True, minimum=1)
+        cfg.paths = _require_number(
+            cfg, document["paths"], "paths", integral=True, minimum=1, maximum=_MAX_PATHS
+        )
     if "seed" in document:
         cfg.seed = _require_number(cfg, document["seed"], "seed", integral=True, minimum=0)
     if "horizon" in document:
@@ -342,6 +348,16 @@ def _fmt(value) -> str:
     return repr(number)
 
 
+def _row(cells) -> str:
+    """One CSV row: text as is, integers as counts, reals through :func:`_fmt`."""
+    return ",".join(
+        cell if isinstance(cell, str)
+        else str(int(cell)) if isinstance(cell, (int, np.integer))
+        else _fmt(cell)
+        for cell in cells
+    )
+
+
 def _write_lines(path: str, lines: list[str]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -367,7 +383,12 @@ def _validate_grid(cfg: ExperimentConfig, problem) -> None:
         raise _fail(cfg, "stepsizes", str(exc)) from None
 
 
-def _run_converge(cfg: ExperimentConfig, out_dir: str, threads: int) -> list[str]:
+# Each runner returns or yields (file name, lines) pairs; run() writes them.
+# Runners that write several files from one result build all their lines
+# first, so a late refusal in _fmt leaves no partial output.
+
+
+def _run_converge(cfg: ExperimentConfig, threads: int):
     problem = builtin_problem(cfg.model, horizon=cfg.horizon)
     _validate_grid(cfg, problem)
     table = strong_error_table(
@@ -380,59 +401,32 @@ def _run_converge(cfg: ExperimentConfig, out_dir: str, threads: int) -> list[str
         reference_scheme=cfg.reference_scheme,
         threads=threads,
     )
-    csv_path = os.path.join(out_dir, "convergence.csv")
-    rows = ["scheme,h,rms_error,stderr,excluded_paths"]
-    for name in cfg.schemes:
-        report = table[SchemeKind.from_name(name)]
-        for i, h in enumerate(report.stepsizes):
-            rows.append(
-                ",".join(
-                    [
-                        report.scheme.value,
-                        _fmt(h),
-                        _fmt(report.rms_errors[i]),
-                        _fmt(report.stderrs[i]),
-                        str(int(report.excluded_paths[i])),
-                    ]
-                )
-            )
-    _write_lines(csv_path, rows)
-
-    fit_path = os.path.join(out_dir, "fit.txt")
-    fit_lines = ["# least-squares fit of rms_error = C * h^r per scheme"]
-    for name in cfg.schemes:
-        report = table[SchemeKind.from_name(name)]
-        fit_lines.append(
-            f"scheme={report.scheme.value} C={_fmt(report.fit_constant)} "
-            f"r={_fmt(report.fit_order)} residual={_fmt(report.fit_residual)}"
-        )
-    _write_lines(fit_path, fit_lines)
-    written = [csv_path, fit_path]
-
+    reports = [table[SchemeKind.from_name(name)] for name in cfg.schemes]
+    rows = ["scheme,h,rms_error,stderr,excluded_paths"] + [
+        _row((r.scheme.value, h, r.rms_errors[i], r.stderrs[i], r.excluded_paths[i]))
+        for r in reports
+        for i, h in enumerate(r.stepsizes)
+    ]
+    fit_lines = ["# least-squares fit of rms_error = C * h^r per scheme"] + [
+        f"scheme={r.scheme.value} C={_fmt(r.fit_constant)} "
+        f"r={_fmt(r.fit_order)} residual={_fmt(r.fit_residual)}"
+        for r in reports
+    ]
+    files = [("convergence.csv", rows), ("fit.txt", fit_lines)]
     if cfg.gnuplot:
-        gp_path = os.path.join(out_dir, "convergence.gp")
-        _write_lines(
-            gp_path,
-            [
-                "set logscale xy",
-                "set datafile separator ','",
-                "set xlabel 'h'",
-                "set ylabel 'rms error'",
-                "set key top left",
-                "plot "
-                + ", \\\n     ".join(
-                    f"'convergence.csv' skip 1 "
-                    f"using 2:(strcol(1) eq '{name}' ? $3 : 1/0) "
-                    f"with linespoints title '{name}'"
-                    for name in cfg.schemes
-                ),
-            ],
+        plots = ", \\\n     ".join(
+            f"'convergence.csv' skip 1 using 2:(strcol(1) eq '{name}' ? $3 : 1/0) "
+            f"with linespoints title '{name}'"
+            for name in cfg.schemes
         )
-        written.append(gp_path)
-    return written
+        files.append(("convergence.gp", [
+            "set logscale xy", "set datafile separator ','", "set xlabel 'h'",
+            "set ylabel 'rms error'", "set key top left", "plot " + plots,
+        ]))
+    return files
 
 
-def _run_stability(cfg: ExperimentConfig, out_dir: str, threads: int) -> list[str]:
+def _run_stability(cfg: ExperimentConfig, threads: int):
     problem = builtin_problem(cfg.model, horizon=cfg.horizon)
     _validate_grid(cfg, problem)
     report = stability_study(
@@ -444,47 +438,29 @@ def _run_stability(cfg: ExperimentConfig, out_dir: str, threads: int) -> list[st
         params=cfg.stability_params,
         threads=threads,
     )
-    csv_path = os.path.join(out_dir, "stability.csv")
     rows = ["scheme,h,t,mean_square,blown_up_count"]
     for entry in report.entries:
-        curve = entry.curve
-        for n in range(curve.times.size):
-            if curve.counts[n] == 0:
+        c = entry.curve
+        for n in range(c.times.size):
+            if c.counts[n] == 0:
                 break  # no survivors from here on; nothing honest to average
-            rows.append(
-                ",".join(
-                    [
-                        entry.scheme.value,
-                        _fmt(entry.stepsize),
-                        _fmt(curve.times[n]),
-                        _fmt(curve.values[n]),
-                        str(int(curve.blown_by_time[n])),
-                    ]
-                )
-            )
-    _write_lines(csv_path, rows)
-    written = [csv_path]
-
+            cells = (entry.scheme.value, entry.stepsize, c.times[n], c.values[n])
+            rows.append(_row((*cells, c.blown_by_time[n])))
+    files = [("stability.csv", rows)]
     if cfg.gnuplot:
-        gp_path = os.path.join(out_dir, "stability.gp")
-        _write_lines(
-            gp_path,
-            [
-                "set logscale y",
-                "set datafile separator ','",
-                "set xlabel 't'",
-                "set ylabel 'mean square'",
-                "plot 'stability.csv' skip 1 using 3:4 with points title 'E||Y||^2'",
-            ],
-        )
-        written.append(gp_path)
-    return written
+        files.append(("stability.gp", [
+            "set logscale y", "set datafile separator ','", "set xlabel 't'",
+            "set ylabel 'mean square'",
+            "plot 'stability.csv' skip 1 using 3:4 with points title 'E||Y||^2'",
+        ]))
+    return files
 
 
-def _run_simulate(cfg: ExperimentConfig, out_dir: str) -> list[str]:
+def _run_simulate(cfg: ExperimentConfig, threads: int):
+    """Yields each trajectory as soon as it is integrated, so no run holds
+    every path in memory."""
     problem = builtin_problem(cfg.model, horizon=cfg.horizon)
     _validate_grid(cfg, problem)
-    written = []
     header = "t," + ",".join(f"x_{k + 1}" for k in range(problem.dim_state))
     for name in cfg.schemes:
         kind = SchemeKind.from_name(name)
@@ -500,47 +476,34 @@ def _run_simulate(cfg: ExperimentConfig, out_dir: str) -> list[str]:
                 for n in range(traj.times.size):
                     if not finite[n]:
                         break
-                    rows.append(
-                        ",".join([_fmt(traj.times[n])] + [_fmt(v) for v in traj.states[n]])
-                    )
+                    rows.append(_row((traj.times[n], *traj.states[n])))
                 if traj.blew_up:
                     print(
                         f"warning: {kind.value} path {k} at h={h} blew up; "
                         f"trajectory truncated at step {len(rows) - 2}",
                         file=sys.stderr,
                     )
-                name_h = repr(float(h))
-                file_path = os.path.join(
-                    out_dir, f"trajectory_{kind.value}_h{name_h}_p{k}.csv"
-                )
-                _write_lines(file_path, rows)
-                written.append(file_path)
-    return written
+                yield f"trajectory_{kind.value}_h{float(h)!r}_p{k}.csv", rows
 
 
-def _run_threshold(cfg: ExperimentConfig, out_dir: str) -> list[str]:
+def _run_threshold(cfg: ExperimentConfig, threads: int):
     params = cfg.stability_params
-    threshold = stability_threshold(params)
+    thr = stability_threshold(params)
     lines = [
-        f"h1={_fmt(threshold.h1)}" if math.isfinite(threshold.h1) else "h1=inf",
-        f"h2={_fmt(threshold.h2)}" if math.isfinite(threshold.h2) else "h2=inf",
-        f"h_star={_fmt(threshold.h_star)}"
-        if math.isfinite(threshold.h_star)
-        else "h_star=inf",
+        f"{name}={_fmt(value) if math.isfinite(value) else 'inf'}"
+        for name, value in (("h1", thr.h1), ("h2", thr.h2), ("h_star", thr.h_star))
     ]
     if cfg.stepsizes:
         lines.append("# gamma_h per requested stepsize")
         for h in cfg.stepsizes:
-            if 0 < h < threshold.h_star:
+            if 0 < h < thr.h_star:
                 lines.append(f"h={_fmt(h)} gamma_h={_fmt(decay_rate(params, h))}")
             else:
                 lines.append(f"h={_fmt(h)} gamma_h=n/a (outside (0, h_star))")
-    path = os.path.join(out_dir, "threshold.txt")
-    _write_lines(path, lines)
-    return [path]
+    return [("threshold.txt", lines)]
 
 
-def _run_check(cfg: ExperimentConfig, out_dir: str) -> list[str]:
+def _run_check(cfg: ExperimentConfig, threads: int):
     problem = builtin_problem(cfg.model, horizon=cfg.horizon)
     points = _sample_points(problem, cfg)
     commutativity = check_commutativity(problem, points, tolerance=cfg.tolerance)
@@ -558,9 +521,16 @@ def _run_check(cfg: ExperimentConfig, out_dir: str) -> list[str]:
             f"margin={_fmt(dissipativity.margin)}"
         ),
     ]
-    path = os.path.join(out_dir, "check.txt")
-    _write_lines(path, lines)
-    return [path]
+    return [("check.txt", lines)]
+
+
+_RUNNERS = {
+    "converge": _run_converge,
+    "stability": _run_stability,
+    "simulate": _run_simulate,
+    "threshold": _run_threshold,
+    "check": _run_check,
+}
 
 
 def run(config: ExperimentConfig, threads: int = 1) -> list[str]:
@@ -569,19 +539,16 @@ def run(config: ExperimentConfig, threads: int = 1) -> list[str]:
         raise ConfigError(
             f"{config.source_path}: no output directory (set output_dir or pass --out)"
         )
-    out_dir = config.output_dir
-    os.makedirs(out_dir, exist_ok=True)
-    if config.kind == "converge":
-        return _run_converge(config, out_dir, threads)
-    if config.kind == "stability":
-        return _run_stability(config, out_dir, threads)
-    if config.kind == "simulate":
-        return _run_simulate(config, out_dir)
-    if config.kind == "threshold":
-        return _run_threshold(config, out_dir)
-    if config.kind == "check":
-        return _run_check(config, out_dir)
-    raise ConfigError(f"{config.source_path}: unknown kind {config.kind!r}")
+    runner = _RUNNERS.get(config.kind)
+    if runner is None:
+        raise ConfigError(f"{config.source_path}: unknown kind {config.kind!r}")
+    os.makedirs(config.output_dir, exist_ok=True)
+    written = []
+    for name, lines in runner(config, threads):
+        path = os.path.join(config.output_dir, name)
+        _write_lines(path, lines)
+        written.append(path)
+    return written
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -627,6 +594,8 @@ def main(argv=None) -> int:
         if args.paths is not None:
             if args.paths < 1:
                 raise ConfigError("--paths must be >= 1")
+            if args.paths > _MAX_PATHS:
+                raise ConfigError(f"--paths must be <= {_MAX_PATHS}")
             cfg.paths = args.paths
         if args.out is not None:
             cfg.output_dir = args.out

@@ -34,7 +34,7 @@ Noise columns are indexed 0-based: ``0 <= j < dim_noise``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -367,17 +367,4 @@ def builtin_problem(name: str, horizon: Optional[float] = None) -> SdeProblem:
         valid = ", ".join(builtin_problem_names())
         raise ValueError(f"unknown built-in problem {name!r}; valid names: {valid}") from None
     problem = factory()
-    if horizon is not None:
-        problem = SdeProblem(
-            dim_state=problem.dim_state,
-            dim_noise=problem.dim_noise,
-            phi=problem.phi,
-            varphi=problem.varphi,
-            diffusion_column=problem.diffusion_column,
-            diffusion_derivative_product=problem.diffusion_derivative_product,
-            initial_value=problem.initial_value,
-            horizon=horizon,
-            label=problem.label,
-            commutative=problem.commutative,
-        )
-    return problem
+    return problem if horizon is None else replace(problem, horizon=horizon)

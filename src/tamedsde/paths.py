@@ -60,6 +60,7 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _POOL_SIZE = 4
 _MASK32 = 0xFFFFFFFF
+_MAX_PATHS = 2**32  # path indices are one 32-bit spawn word
 
 
 def _stream_keys(seed: int, lo: int, hi: int) -> np.ndarray:
@@ -160,7 +161,7 @@ def generate_paths(
     seed, path_index = operator.index(seed), operator.index(path_index)
     if seed < 0 or path_index < 0:
         raise ValueError("seed and path_index must be nonnegative integers")
-    if path_index >= 2**32:
+    if path_index >= _MAX_PATHS:
         raise ValueError(f"path_index must be below 2**32, got {path_index}")
     key = _stream_keys(seed, path_index, path_index + 1).tolist()[0]
     increments = np.empty((steps_fine, dim_noise))

@@ -269,6 +269,40 @@ def test_drivers_refuse_milstein_on_noncommutative_noise(swapped_2d, driver):
     assert "integrate or require_supported" in str(err.value)
 
 
+def _no_chunks(worker, paths, threads):
+    raise AssertionError("a refused study must not integrate anything")
+
+
+def test_stability_study_refuses_before_its_first_curve(swapped_2d, monkeypatch):
+    """A refused scheme late in the list stops the study before any curve."""
+    monkeypatch.setattr(analysis, "_run_chunks", _no_chunks)
+    with pytest.raises(ValueError, match="commut"):
+        stability_study(swapped_2d, ["em", "semi-tamed-milstein"], [2**-8], paths=4096, seed=1)
+    with pytest.raises(ValueError, match="does not divide"):
+        stability_study(swapped_2d, ["em"], [0.25, 0.3], paths=8, seed=SEED)
+    with pytest.raises(ValueError, match="paths must be >= 1"):
+        stability_study(swapped_2d, ["em"], [0.25], paths=0, seed=SEED)
+
+
+@pytest.mark.parametrize(
+    "driver",
+    [
+        lambda p, n: strong_error_table(p, ["em"], [0.25, 0.125], paths=n, seed=SEED),
+        lambda p, n: mean_square_curve(p, "em", 0.25, paths=n, seed=SEED),
+        lambda p, n: stability_study(p, ["em"], [0.25], paths=n, seed=SEED),
+    ],
+    ids=["strong-error-table", "mean-square-curve", "stability-study"],
+)
+def test_drivers_refuse_more_paths_than_stream_indices(unstable, monkeypatch, driver):
+    """Path indices are one 32-bit spawn word: 2**32 paths are the most a
+    driver accepts, and it refuses more before any work."""
+    monkeypatch.setattr(analysis, "_run_chunks", _no_chunks)
+    with pytest.raises(ValueError, match=r"paths must be <= 4294967296, got 4294967297"):
+        driver(unstable, 2**32 + 1)
+    with pytest.raises(AssertionError, match="must not integrate"):
+        driver(unstable, 2**32)  # accepted: it reaches the chunk runner
+
+
 def test_drivers_run_em_on_noncommutative_noise(swapped_2d):
     table = strong_error_table(
         swapped_2d, ["em"], [0.25, 0.125], paths=8, seed=SEED, reference_scheme="em"

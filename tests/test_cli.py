@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import json
+import math
 import os
 import pkgutil
 import shutil
@@ -14,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import tamedsde
+from tamedsde import cli
 from tamedsde.cli import KINDS, ConfigError, load_config, main, run
 
 from conftest import SEED
@@ -151,6 +154,17 @@ def test_fractional_paths_rejected(tmp_path):
     path = write_config(tmp_path, converge_payload(paths=10.5))
     with pytest.raises(ConfigError, match="paths must be an integer"):
         load_config(path)
+
+
+def test_paths_bounded_by_stream_indices(tmp_path):
+    """Path indices are one 32-bit spawn word, so 2**32 paths is the most."""
+    assert load_config(write_config(tmp_path, converge_payload(paths=2**32))).paths == 2**32
+    for raw, shown in ((2**32 + 1, "4294967297"), (1e20, "1e+20")):
+        path = write_config(tmp_path, converge_payload(paths=raw))
+        lineno = line_of(path, '"paths"')
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert str(err.value) == f"{path}:{lineno}: paths must be <= 4294967296, got {shown}"
 
 
 def test_negative_stepsize_rejected(tmp_path):
@@ -362,6 +376,37 @@ def test_converge_outputs(tmp_path):
     assert "convergence.csv" in gp
 
 
+@pytest.mark.parametrize("stepsizes", [[0.125], [0.125, 0.125]], ids=["one", "repeated"])
+def test_converge_needs_two_distinct_stepsizes(tmp_path, capsys, stepsizes):
+    """An order fit needs two stepsizes; a config with fewer fails at load."""
+    out = tmp_path / "out"
+    path = write_config(tmp_path, converge_payload(stepsizes=stepsizes, output_dir=str(out)))
+    lineno = line_of(path, '"stepsizes"')
+    with pytest.raises(ConfigError, match=rf"{path}:{lineno}: .*two distinct stepsizes"):
+        load_config(path)
+    assert main(["converge", "--config", path]) == 2
+    assert f"{path}:{lineno}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_converge_nan_fit_writes_nothing(tmp_path, capsys, monkeypatch):
+    """A refusal in the last file of a result leaves none of its files behind."""
+    real_table = cli.strong_error_table
+
+    def nan_fit_table(*args, **kwargs):
+        return {
+            kind: dataclasses.replace(report, fit_order=math.nan)
+            for kind, report in real_table(*args, **kwargs).items()
+        }
+
+    monkeypatch.setattr(cli, "strong_error_table", nan_fit_table)
+    out = tmp_path / "out"
+    path = write_config(tmp_path, converge_payload(paths=8, output_dir=str(out), gnuplot=True))
+    assert main(["converge", "--config", path]) == 3
+    assert "refusing to write NaN" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_converge_byte_determinism_across_threads(tmp_path):
     base = converge_payload(reference_steps=128)
     path1 = write_config(tmp_path, {**base, "output_dir": str(tmp_path / "a")}, "a.json")
@@ -396,9 +441,9 @@ def test_converge_rejects_nonnested_reference(tmp_path):
 def test_converge_rejects_nondividing_stepsize(tmp_path):
     path = write_config(
         tmp_path,
-        converge_payload(stepsizes=[0.3], output_dir=str(tmp_path / "out")),
+        converge_payload(stepsizes=[0.25, 0.3], output_dir=str(tmp_path / "out")),
     )
-    with pytest.raises(ConfigError, match="divide"):
+    with pytest.raises(ConfigError, match="0.3 does not divide"):
         run(load_config(path))
 
 
@@ -681,6 +726,7 @@ def test_main_rejects_bad_overrides(tmp_path, capsys):
     path = write_config(tmp_path, threshold_payload(output_dir=str(tmp_path / "out")))
     assert main(["threshold", "--config", path, "--seed", "-1"]) == 2
     assert main(["threshold", "--config", path, "--paths", "0"]) == 2
+    assert main(["threshold", "--config", path, "--paths", "4294967297"]) == 2
     assert main(["threshold", "--config", path, "--threads", "0"]) == 2
     capsys.readouterr()
 
@@ -793,3 +839,27 @@ def test_every_export_resolves():
         namespace = {}
         exec(f"from {module.__name__} import *", namespace)
         assert set(exported) <= set(namespace), module.__name__
+
+
+# The package's exports before it re-exported each module's own __all__.
+PINNED_EXPORTS = [
+    "SdeProblem", "CommutativityReport", "EvaluationError", "builtin_problem",
+    "builtin_problem_names", "check_commutativity", "drift_full", "levy_product_coefficient",
+    "PathBundle", "generate_paths", "coarsen", "SchemeKind", "Trajectory", "integrate",
+    "tame", "require_supported", "step_function", "milstein_correction",
+    "ConvergenceReport", "PowerLawFit", "MomentCurve", "StabilityParams",
+    "StabilityThreshold", "StabilityReport", "StabilityCurveEntry", "DissipativityReport",
+    "fit_power_law", "strong_error_table", "mean_square_curve", "stability_threshold",
+    "decay_rate", "check_dissipativity", "stability_study", "__version__",
+]
+
+
+def test_pinned_exports_survive():
+    """No name the package exported is dropped, and each is its module's object."""
+    assert len(set(PINNED_EXPORTS)) == 34
+    assert set(PINNED_EXPORTS) <= set(tamedsde.__all__)
+    modules = (tamedsde.model, tamedsde.paths, tamedsde.schemes, tamedsde.analysis)
+    for name in PINNED_EXPORTS[:-1]:
+        homes = [module for module in modules if name in module.__all__]
+        assert len(homes) == 1, name
+        assert getattr(tamedsde, name) is getattr(homes[0], name)
