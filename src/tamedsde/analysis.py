@@ -34,7 +34,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .model import EvaluationError, SdeProblem, drift_full
+from .model import EvaluationError, SdeProblem, _sample_states, drift_full
 from .paths import (
     _MAX_PATHS,
     _coarsen_increments,
@@ -518,18 +518,24 @@ def stability_threshold(params: StabilityParams) -> StabilityThreshold:
     branch vacuous (+inf) when K = 0. ``h2`` constrains the diffusion and
     correction load: ``(2 rho - theta^2) / ((m^2/4)(m^2+m) beta + K)``,
     vacuous when that denominator is zero. A denominator that underflows to
-    zero (e.g. a subnormal K) gives +inf, the correctly rounded bound.
+    zero (e.g. a subnormal K) gives +inf, the correctly rounded bound; one
+    that overflows is divided out one factor at a time instead.
     """
-    two_v = 2.0 * params.v
-    h1_first = _ratio_or_inf(two_v - params.v_bar, 2.0 * params.lip_K * params.v)
-    h1_second = _ratio_or_inf(
-        two_v, (2.0 * params.lip_K + params.v_bar) * params.v_bar
-    )
+    v, v_bar, lip_K = params.v, params.v_bar, params.lip_K
+    excess = v - v_bar / 2.0  # (2v - v_bar) / 2 without overflowing 2v
+    if math.isinf(lip_K * v):
+        h1_first = excess / v / lip_K
+    else:
+        h1_first = _ratio_or_inf(excess, lip_K * v)
+    spread = (2.0 * lip_K + v_bar) * v_bar
+    if math.isinf(spread):
+        h1_second = (v / v_bar) / (lip_K + v_bar / 2.0)
+    else:
+        h1_second = _ratio_or_inf(2.0 * v, spread)
     h1 = min(h1_first, h1_second)
 
-    load = params.correction_lipschitz_load
     gap = 2.0 * params.rho - params.theta**2
-    h2 = gap / load if load > 0 else math.inf
+    h2 = _ratio_or_inf(gap, params.correction_lipschitz_load)
     return StabilityThreshold(h1=h1, h2=h2, h_star=min(h1, h2))
 
 
@@ -576,13 +582,7 @@ def check_dissipativity(
     """
     if not gamma > 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
-    points = np.atleast_2d(np.asarray(sample_points, dtype=np.float64))
-    if points.ndim != 2 or points.shape[1] != problem.dim_state:
-        raise ValueError(
-            f"sample_points must be (n, {problem.dim_state}), got {points.shape}"
-        )
-    if points.shape[0] == 0:
-        raise ValueError("sample_points must contain at least one state")
+    points = _sample_states(problem, sample_points)
     f = drift_full(problem, points)
     sq_norm = np.sum(points * points, axis=-1)
     diffusion_sq = np.zeros(points.shape[0])

@@ -41,7 +41,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -66,8 +66,6 @@ from .paths import _MAX_PATHS, generate_paths
 from .schemes import SchemeKind, integrate
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "run", "main"]
-
-KINDS = ("converge", "stability", "simulate", "threshold", "check")
 
 _KIND_KEYS = {
     "converge": (
@@ -99,8 +97,23 @@ _KIND_KEYS = {
         },
     ),
 }
+KINDS = tuple(_KIND_KEYS)
 
-_PARAM_KEYS = {"rho", "theta", "lip_K", "beta", "v", "v_bar", "alpha", "m"}
+_PARAM_KEYS = [f.name for f in fields(StabilityParams)]
+
+# _require_number bounds of every numeric key; the --seed/--paths overrides
+# use the same rules.
+_NUMBER_RULES = {
+    "paths": dict(integral=True, minimum=1, maximum=_MAX_PATHS),
+    "seed": dict(integral=True, minimum=0),
+    "horizon": dict(positive=True),
+    "reference_steps": dict(integral=True, minimum=1),
+    "gamma": dict(positive=True),
+    "tolerance": dict(positive=True),
+    "sample_low": {},
+    "sample_high": {},
+    "sample_count": dict(integral=True, minimum=1),
+}
 
 
 class ConfigError(Exception):
@@ -211,11 +224,11 @@ def _parse_stepsizes(cfg: ExperimentConfig, raw) -> list[float]:
 def _parse_stability_params(cfg: ExperimentConfig, raw) -> StabilityParams:
     if not isinstance(raw, dict):
         raise _fail(cfg, "stability_params", "stability_params must be an object")
-    unknown = set(raw) - _PARAM_KEYS
+    unknown = set(raw).difference(_PARAM_KEYS)
     if unknown:
         key = sorted(unknown)[0]
         raise _fail(cfg, key, f"unknown stability_params key {key!r}")
-    missing = _PARAM_KEYS - set(raw)
+    missing = set(_PARAM_KEYS).difference(raw)
     if missing:
         raise _fail(
             cfg,
@@ -227,7 +240,7 @@ def _parse_stability_params(cfg: ExperimentConfig, raw) -> StabilityParams:
             raise _fail(cfg, name, f"stability_params.{name} must be a number")
     try:
         return StabilityParams(
-            **{name: _as_float(raw[name]) for name in _PARAM_KEYS - {"m"}},
+            **{name: _as_float(raw[name]) for name in _PARAM_KEYS if name != "m"},
             m=_require_number(cfg, raw["m"], "m", integral=True),
         )
     except ValueError as exc:
@@ -286,32 +299,25 @@ def load_config(path: str) -> ExperimentConfig:
         raw = document["schemes"]
         if not isinstance(raw, list) or not raw:
             raise _fail(cfg, "schemes", "schemes must be a nonempty list of scheme names")
-        for name in raw:
+        for k, name in enumerate(raw):
             try:
                 SchemeKind.from_name(name)
             except ValueError as exc:
                 raise _fail(cfg, "schemes", str(exc)) from None
+            if name in raw[:k]:
+                raise _fail(cfg, "schemes", f"schemes lists {name!r} more than once")
         cfg.schemes = list(raw)
     if "stepsizes" in document:
         cfg.stepsizes = _parse_stepsizes(cfg, document["stepsizes"])
         if kind == "converge" and len(set(cfg.stepsizes)) < 2:
             raise _fail(cfg, "stepsizes", "converge needs at least two distinct stepsizes")
-    if "paths" in document:
-        cfg.paths = _require_number(
-            cfg, document["paths"], "paths", integral=True, minimum=1, maximum=_MAX_PATHS
-        )
-    if "seed" in document:
-        cfg.seed = _require_number(cfg, document["seed"], "seed", integral=True, minimum=0)
-    if "horizon" in document:
-        cfg.horizon = _require_number(cfg, document["horizon"], "horizon", positive=True)
+    for key, rule in _NUMBER_RULES.items():
+        if key in document:
+            setattr(cfg, key, _require_number(cfg, document[key], key, **rule))
     if "output_dir" in document:
         if not isinstance(document["output_dir"], str) or not document["output_dir"]:
             raise _fail(cfg, "output_dir", "output_dir must be a nonempty string")
         cfg.output_dir = document["output_dir"]
-    if "reference_steps" in document:
-        cfg.reference_steps = _require_number(
-            cfg, document["reference_steps"], "reference_steps", integral=True, minimum=1
-        )
     if "reference_scheme" in document:
         try:
             cfg.reference_scheme = SchemeKind.from_name(document["reference_scheme"]).value
@@ -319,18 +325,6 @@ def load_config(path: str) -> ExperimentConfig:
             raise _fail(cfg, "reference_scheme", str(exc)) from None
     if "stability_params" in document:
         cfg.stability_params = _parse_stability_params(cfg, document["stability_params"])
-    if "gamma" in document:
-        cfg.gamma = _require_number(cfg, document["gamma"], "gamma", positive=True)
-    if "tolerance" in document:
-        cfg.tolerance = _require_number(cfg, document["tolerance"], "tolerance", positive=True)
-    if "sample_low" in document:
-        cfg.sample_low = _require_number(cfg, document["sample_low"], "sample_low")
-    if "sample_high" in document:
-        cfg.sample_high = _require_number(cfg, document["sample_high"], "sample_high")
-    if "sample_count" in document:
-        cfg.sample_count = _require_number(
-            cfg, document["sample_count"], "sample_count", integral=True, minimum=1
-        )
     if cfg.sample_high <= cfg.sample_low:
         raise _fail(cfg, "sample_high", "sample_high must exceed sample_low")
     if "gnuplot" in document:
@@ -383,14 +377,14 @@ def _validate_grid(cfg: ExperimentConfig, problem) -> None:
         raise _fail(cfg, "stepsizes", str(exc)) from None
 
 
-# Each runner returns or yields (file name, lines) pairs; run() writes them.
+# Each runner takes the config, the problem run() built from it (None for
+# threshold) and the thread count, and returns or yields (file name, lines)
+# pairs; run() writes them.
 # Runners that write several files from one result build all their lines
 # first, so a late refusal in _fmt leaves no partial output.
 
 
-def _run_converge(cfg: ExperimentConfig, threads: int):
-    problem = builtin_problem(cfg.model, horizon=cfg.horizon)
-    _validate_grid(cfg, problem)
+def _run_converge(cfg: ExperimentConfig, problem, threads: int):
     table = strong_error_table(
         problem,
         cfg.schemes,
@@ -426,9 +420,7 @@ def _run_converge(cfg: ExperimentConfig, threads: int):
     return files
 
 
-def _run_stability(cfg: ExperimentConfig, threads: int):
-    problem = builtin_problem(cfg.model, horizon=cfg.horizon)
-    _validate_grid(cfg, problem)
+def _run_stability(cfg: ExperimentConfig, problem, threads: int):
     report = stability_study(
         problem,
         cfg.schemes,
@@ -456,11 +448,9 @@ def _run_stability(cfg: ExperimentConfig, threads: int):
     return files
 
 
-def _run_simulate(cfg: ExperimentConfig, threads: int):
+def _run_simulate(cfg: ExperimentConfig, problem, threads: int):
     """Yields each trajectory as soon as it is integrated, so no run holds
     every path in memory."""
-    problem = builtin_problem(cfg.model, horizon=cfg.horizon)
-    _validate_grid(cfg, problem)
     header = "t," + ",".join(f"x_{k + 1}" for k in range(problem.dim_state))
     for name in cfg.schemes:
         kind = SchemeKind.from_name(name)
@@ -486,11 +476,11 @@ def _run_simulate(cfg: ExperimentConfig, threads: int):
                 yield f"trajectory_{kind.value}_h{float(h)!r}_p{k}.csv", rows
 
 
-def _run_threshold(cfg: ExperimentConfig, threads: int):
+def _run_threshold(cfg: ExperimentConfig, problem, threads: int):
     params = cfg.stability_params
     thr = stability_threshold(params)
     lines = [
-        f"{name}={_fmt(value) if math.isfinite(value) else 'inf'}"
+        f"{name}={'inf' if value == math.inf else _fmt(value)}"
         for name, value in (("h1", thr.h1), ("h2", thr.h2), ("h_star", thr.h_star))
     ]
     if cfg.stepsizes:
@@ -503,8 +493,7 @@ def _run_threshold(cfg: ExperimentConfig, threads: int):
     return [("threshold.txt", lines)]
 
 
-def _run_check(cfg: ExperimentConfig, threads: int):
-    problem = builtin_problem(cfg.model, horizon=cfg.horizon)
+def _run_check(cfg: ExperimentConfig, problem, threads: int):
     points = _sample_points(problem, cfg)
     commutativity = check_commutativity(problem, points, tolerance=cfg.tolerance)
     dissipativity = check_dissipativity(problem, cfg.gamma, points)
@@ -534,7 +523,8 @@ _RUNNERS = {
 
 
 def run(config: ExperimentConfig, threads: int = 1) -> list[str]:
-    """Execute one experiment; returns the list of files written."""
+    """Execute one experiment; returns the list of files written. Config and
+    grid errors raise before the output directory is created."""
     if config.output_dir is None:
         raise ConfigError(
             f"{config.source_path}: no output directory (set output_dir or pass --out)"
@@ -542,9 +532,13 @@ def run(config: ExperimentConfig, threads: int = 1) -> list[str]:
     runner = _RUNNERS.get(config.kind)
     if runner is None:
         raise ConfigError(f"{config.source_path}: unknown kind {config.kind!r}")
+    problem = None
+    if "model" in _KIND_KEYS[config.kind][0]:
+        problem = builtin_problem(config.model, horizon=config.horizon)
+        _validate_grid(config, problem)
     os.makedirs(config.output_dir, exist_ok=True)
     written = []
-    for name, lines in runner(config, threads):
+    for name, lines in runner(config, problem, threads):
         path = os.path.join(config.output_dir, name)
         _write_lines(path, lines)
         written.append(path)
@@ -587,32 +581,18 @@ def main(argv=None) -> int:
                 f"{cfg.anchor('kind')}: config kind {cfg.kind!r} does not match "
                 f"subcommand {args.command!r}"
             )
-        if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError("--seed must be nonnegative")
-            cfg.seed = args.seed
-        if args.paths is not None:
-            if args.paths < 1:
-                raise ConfigError("--paths must be >= 1")
-            if args.paths > _MAX_PATHS:
-                raise ConfigError(f"--paths must be <= {_MAX_PATHS}")
-            cfg.paths = args.paths
+        for key in ("seed", "paths"):
+            raw = getattr(args, key)
+            if raw is not None:
+                setattr(cfg, key, _require_number(cfg, raw, f"--{key}", **_NUMBER_RULES[key]))
         if args.out is not None:
             cfg.output_dir = args.out
-        threads = getattr(args, "threads", 1)
-        if threads < 1:
+        if args.threads < 1:
             raise ConfigError("--threads must be >= 1")
-    except ConfigError as exc:
+        written = run(cfg, threads=args.threads)
+    except (ConfigError, ValueError, EvaluationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        written = run(cfg, threads=threads)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, EvaluationError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, ConfigError) else 3
     for path in written:
         print(path)
     return 0

@@ -253,6 +253,17 @@ def levy_product_coefficient(
     return value
 
 
+def _sample_states(problem: SdeProblem, sample_points) -> np.ndarray:
+    """``sample_points`` as a nonempty ``(n, d)`` float array of states."""
+    points = np.atleast_2d(np.asarray(sample_points, dtype=np.float64))
+    if points.ndim != 2 or points.shape[1] != problem.dim_state or points.shape[0] == 0:
+        raise ValueError(
+            f"sample_points must be an (n, {problem.dim_state}) array of at least one "
+            f"state, got shape {points.shape}"
+        )
+    return points
+
+
 def check_commutativity(
     problem: SdeProblem,
     sample_points: Sequence[np.ndarray] | np.ndarray,
@@ -271,23 +282,7 @@ def check_commutativity(
             if problem.diffusion_derivative_product is not None
             else DEFAULT_TOLERANCE_FINITE_DIFF
         )
-    points = np.atleast_2d(np.asarray(sample_points, dtype=np.float64))
-    if points.ndim != 2 or points.shape[1] != problem.dim_state:
-        raise ValueError(
-            f"sample_points must be an (n, {problem.dim_state}) array of states, "
-            f"got shape {points.shape}"
-        )
-    if points.shape[0] == 0:
-        raise ValueError("sample_points must contain at least one state")
-
-    if problem.dim_noise == 1:
-        return CommutativityReport(
-            max_violation=0.0,
-            sample_count=points.shape[0],
-            passed=True,
-            tolerance=float(tolerance),
-        )
-
+    points = _sample_states(problem, sample_points)
     worst = 0.0
     for j1 in range(problem.dim_noise):
         for j2 in range(j1 + 1, problem.dim_noise):

@@ -23,6 +23,7 @@ import pytest
 from conftest import SEED, make_diagonal_2d, make_gbm, make_swapped_2d
 from tamedsde import (
     SchemeKind,
+    SdeProblem,
     StabilityParams,
     builtin_problem,
     check_commutativity,
@@ -36,7 +37,9 @@ from tamedsde import (
     strong_error_table,
     tame,
 )
+from tamedsde.analysis import _batch_endpoints, _stack_increments
 from tamedsde.cli import main
+from tamedsde.paths import _coarsen_increments
 
 THREADS = 8
 
@@ -146,6 +149,39 @@ def test_criterion_3_exact_order_oracle():
         f"classical-Milstein step equality bitwise={bitwise}; "
         f"closed-form order r={fit.order:.4f} in [0.9, 1.1]",
     )
+
+
+def test_pairwise_milstein_term_exact_order():
+    # two-noise geometric Brownian motion dX = X dt + 0.6 X dW1 + 0.9 X dW2:
+    # the j1 < j2 term of the Milstein correction carries order 1 here, and
+    # the closed-form solution is the reference (without the cross term the
+    # fitted order drops to about 0.6)
+    sigma = (0.6, 0.9)
+    problem = SdeProblem(
+        dim_state=1,
+        dim_noise=2,
+        phi=lambda x: x,
+        varphi=lambda x: 0.0 * x,
+        diffusion_column=lambda x, j: sigma[j] * x,
+        diffusion_derivative_product=lambda x, j1, j2: sigma[j1] * sigma[j2] * x,
+        initial_value=np.array([1.0]),
+        horizon=1.0,
+        commutative=True,
+    )
+    paths, fine = 2000, 2**8
+    stepsizes = [2.0**-k for k in range(3, 9)]
+    increments = _stack_increments(SEED, 0, paths, fine, 2, 1.0)
+    w_terminal = increments.sum(axis=1)
+    drift = 1.0 - 0.5 * (sigma[0] ** 2 + sigma[1] ** 2)
+    exact = np.exp(drift + sigma[0] * w_terminal[:, 0] + sigma[1] * w_terminal[:, 1])
+    rms = []
+    for h in stepsizes:
+        coarse = _coarsen_increments(increments, int(round(h * fine)))
+        final, blown = _batch_endpoints(problem, SchemeKind.SEMI_TAMED_MILSTEIN, coarse, h)
+        assert not blown.any()
+        rms.append(float(np.sqrt(np.mean((final[:, 0] - exact) ** 2))))
+    order = fit_power_law(stepsizes, rms).order
+    assert 0.85 <= order <= 1.15, f"pairwise Milstein order r={order:.4f}"
 
 
 def _reference_params() -> StabilityParams:

@@ -7,6 +7,7 @@ import math
 import os
 import threading
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -463,6 +464,25 @@ def test_threshold_degenerate_branches():
     thr = stability_threshold(tiny)
     assert thr.h1 == pytest.approx(0.5 / 0.25**2)
     assert decay_rate(tiny, 1.0) == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize(
+    "v, h1", [(1e308, 2e-308), (1e307, 2.0000000000000002e-307)], ids=["1e308", "1e307"]
+)
+def test_threshold_near_the_float_maximum(v, h1):
+    """Constants whose products overflow still give the correctly rounded
+    bound: 2v / ((2K + v_bar) v_bar) in exact arithmetic, not NaN or 0."""
+    params = StabilityParams(
+        rho=2.0, theta=1.0, lip_K=2.0, beta=2.0, v=v, v_bar=v, alpha=5.0, m=1
+    )
+    exact = min(
+        (2 * Fraction(v) - Fraction(v)) / (2 * 2 * Fraction(v)),
+        2 * Fraction(v) / ((2 * 2 + Fraction(v)) * Fraction(v)),
+    )
+    thr = stability_threshold(params)
+    assert thr.h1 == h1 == float(exact)
+    assert thr.h2 == 1.0
+    assert thr.h_star == h1
 
 
 def test_decay_rate_vanishes_at_binding_h2():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import importlib
+import importlib.util
 import json
 import math
 import os
@@ -17,6 +18,7 @@ import pytest
 
 import tamedsde
 from tamedsde import cli
+from tamedsde.analysis import StabilityThreshold
 from tamedsde.cli import KINDS, ConfigError, load_config, main, run
 
 from conftest import SEED
@@ -167,6 +169,20 @@ def test_paths_bounded_by_stream_indices(tmp_path):
         assert str(err.value) == f"{path}:{lineno}: paths must be <= 4294967296, got {shown}"
 
 
+@pytest.mark.parametrize("kind", ["converge", "stability", "simulate"])
+def test_repeated_scheme_rejected(tmp_path, capsys, kind):
+    """A scheme listed twice would run and be written twice; it fails at load."""
+    out = tmp_path / "out"
+    payload = converge_payload(kind=kind, schemes=["em", "semi-tamed-euler", "em"])
+    path = write_config(tmp_path, {**payload, "output_dir": str(out)})
+    lineno = line_of(path, '"schemes"')
+    assert main([kind, "--config", path]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}:{lineno}: schemes lists 'em' more than once\n"
+    )
+    assert not out.exists()
+
+
 def test_negative_stepsize_rejected(tmp_path):
     path = write_config(tmp_path, converge_payload(stepsizes=[0.25, -0.125]))
     with pytest.raises(ConfigError, match="positive reals"):
@@ -312,14 +328,43 @@ def test_shipped_configs_parse():
         assert cfg.kind in KINDS
 
 
-# Every committed result directory: (subcommand, config under configs/, name under results/)
+def _run_experiments_script():
+    spec = importlib.util.spec_from_file_location(
+        "run_experiments", REPO / "scripts" / "run_experiments.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+SCRIPT = _run_experiments_script()
+
+
+def _output_dir(config: str) -> Path:
+    return Path(json.loads((REPO / "configs" / config).read_text())["output_dir"])
+
+
+# Every committed result directory, from the script that writes results/:
+# (subcommand, config under configs/, name under results/)
 COMMITTED_RESULTS = [
-    ("check", "check_models.json", "check_stable"),
-    ("threshold", "threshold_stable.json", "threshold_stable"),
-    ("converge", "convergence_smoke.json", "convergence_smoke"),
-    ("stability", "stability_grid.json", "stability_grid"),
-    ("simulate", "simulate_sample.json", "simulate_sample"),
+    (kind, config, _output_dir(config).name) for kind, config in SCRIPT.DESK_JOBS
 ]
+
+
+def test_job_list_covers_configs_and_results():
+    """Every shipped config is a job of the script, and every directory
+    under results/ is the output of a desk job."""
+    jobs = SCRIPT.DESK_JOBS + [SCRIPT.FULL_JOB]
+    assert sorted(config for _, config in jobs) == sorted(
+        p.name for p in (REPO / "configs").glob("*.json")
+    )
+    for kind, config in jobs:
+        assert load_config(str(REPO / "configs" / config)).kind == kind
+    for _, config in SCRIPT.DESK_JOBS:
+        assert _output_dir(config).parent == Path("results")
+    assert sorted(p.name for p in (REPO / "results").iterdir()) == sorted(
+        name for *_, name in COMMITTED_RESULTS
+    )
 
 
 @pytest.mark.parametrize(
@@ -445,6 +490,7 @@ def test_converge_rejects_nondividing_stepsize(tmp_path):
     )
     with pytest.raises(ConfigError, match="0.3 does not divide"):
         run(load_config(path))
+    assert not (tmp_path / "out").exists()
 
 
 # ------------------------------------------------------------------
@@ -648,6 +694,31 @@ def test_threshold_infinite_branches(tmp_path):
     assert lines[2] == "h_star=2.0"
 
 
+@pytest.mark.parametrize(
+    "v, h1", [(1e308, "2e-308"), (1e307, "2.0000000000000002e-307")], ids=["1e308", "1e307"]
+)
+def test_threshold_near_the_float_maximum(tmp_path, v, h1):
+    """Overflowing products give the true bound, not a NaN written as inf."""
+    payload = threshold_payload(output_dir=str(tmp_path / "out"))
+    payload["stability_params"].update(theta=1.0, v=v, v_bar=v)
+    written = run(load_config(write_config(tmp_path, payload)))
+    lines = Path(written[0]).read_text().splitlines()
+    assert lines[:3] == [f"h1={h1}", "h2=1.0", f"h_star={h1}"]
+    assert lines[4:] == [f"h={h} gamma_h=n/a (outside (0, h_star))" for h in ("0.0625", "0.25")]
+
+
+def test_threshold_nan_exits_3_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    """Only +inf is written as inf; a NaN bound is refused."""
+    monkeypatch.setattr(
+        cli, "stability_threshold", lambda params: StabilityThreshold(math.nan, 1.0, math.nan)
+    )
+    out = tmp_path / "out"
+    path = write_config(tmp_path, threshold_payload(output_dir=str(out)))
+    assert main(["threshold", "--config", path]) == 3
+    assert "refusing to write NaN" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_check_output_stable(tmp_path):
     payload = {
         "kind": "check",
@@ -723,12 +794,18 @@ def test_main_runtime_failure_is_exit_3(tmp_path, capsys):
 
 
 def test_main_rejects_bad_overrides(tmp_path, capsys):
-    path = write_config(tmp_path, threshold_payload(output_dir=str(tmp_path / "out")))
-    assert main(["threshold", "--config", path, "--seed", "-1"]) == 2
-    assert main(["threshold", "--config", path, "--paths", "0"]) == 2
-    assert main(["threshold", "--config", path, "--paths", "4294967297"]) == 2
-    assert main(["threshold", "--config", path, "--threads", "0"]) == 2
-    capsys.readouterr()
+    """--seed and --paths obey the config's rules and name the config they override."""
+    out = tmp_path / "out"
+    path = write_config(tmp_path, threshold_payload(output_dir=str(out)))
+    for flag, value, message in [
+        ("--seed", "-1", f"{path}: --seed must be >= 0, got -1"),
+        ("--paths", "0", f"{path}: --paths must be >= 1, got 0"),
+        ("--paths", "4294967297", f"{path}: --paths must be <= 4294967296, got 4294967297"),
+        ("--threads", "0", "--threads must be >= 1"),
+    ]:
+        assert main(["threshold", "--config", path, flag, value]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_main_paths_override(tmp_path, capsys):

@@ -11,6 +11,7 @@ from tamedsde import (
     builtin_problem,
     builtin_problem_names,
     check_commutativity,
+    check_dissipativity,
     drift_full,
     levy_product_coefficient,
 )
@@ -208,6 +209,31 @@ def test_single_noise_commutes_exactly(unstable):
     assert report.sample_count == 7
 
 
+def test_single_noise_check_evaluates_no_coefficient():
+    """With one noise there is no column pair, so the check touches no
+    derivative product and reports a zero violation."""
+    calls = []
+
+    def product(x, j1, j2):
+        calls.append((j1, j2))
+        return x
+
+    problem = SdeProblem(
+        dim_state=1,
+        dim_noise=1,
+        phi=lambda x: -x,
+        varphi=lambda x: 0.0 * x,
+        diffusion_column=lambda x, j: x,
+        diffusion_derivative_product=product,
+        initial_value=np.array([1.0]),
+        horizon=1.0,
+    )
+    calls.clear()
+    report = check_commutativity(problem, np.array([[0.5], [2.0]]))
+    assert calls == []
+    assert (report.max_violation, report.sample_count, report.passed) == (0.0, 2, True)
+
+
 def test_diagonal_noise_commutes():
     problem = make_diagonal_2d()
     points = np.random.default_rng(3).uniform(-2, 2, size=(25, 2))
@@ -235,3 +261,13 @@ def test_commutativity_rejects_bad_points(unstable):
         check_commutativity(unstable, np.zeros((3, 2)))
     with pytest.raises(ValueError, match="at least one"):
         check_commutativity(unstable, np.zeros((0, 1)))
+
+
+@pytest.mark.parametrize("shape", [(3, 2), (0, 1), (2, 1, 1)], ids=["width", "empty", "rank"])
+def test_structural_checks_share_the_sample_point_rule(unstable, shape):
+    """Both structural checks refuse the same points with the same message."""
+    with pytest.raises(ValueError, match="sample_points") as commutativity:
+        check_commutativity(unstable, np.zeros(shape))
+    with pytest.raises(ValueError, match="sample_points") as dissipativity:
+        check_dissipativity(unstable, 1.0, np.zeros(shape))
+    assert str(commutativity.value) == str(dissipativity.value)
