@@ -29,7 +29,8 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
+from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -157,14 +158,8 @@ def _run_chunks(worker: Callable, paths: int, threads: int) -> list:
     workers = min(threads, len(ranges), _available_cores())
     if workers <= 1:
         return [worker(lo, hi) for lo, hi in ranges]
-    results: list = [None] * len(ranges)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {
-            pool.submit(worker, lo, hi): k for k, (lo, hi) in enumerate(ranges)
-        }
-        for future, k in futures.items():
-            results[k] = future.result()
-    return results
+        return list(pool.map(worker, *zip(*ranges)))
 
 
 def _batch_endpoints(
@@ -300,28 +295,23 @@ def strong_error_table(
     m = problem.dim_noise
 
     def worker(lo: int, hi: int):
-        block = hi - lo
         inc = _stack_increments(seed, lo, hi, reference_steps, m, problem.horizon)
-        ref_final, ref_blown = _batch_endpoints(problem, ref_kind, inc, h_ref)
-        sq_err = np.full((block, n_s, n_h), np.nan)
-        study_blown = np.zeros((block, n_s, n_h), dtype=bool)
+        ref_final, _ = _batch_endpoints(problem, ref_kind, inc, h_ref)
+        sq_err = np.empty((hi - lo, n_s, n_h))
+        # a blown path ends at the NaN sentinel, so its squared gap is NaN;
         # surviving endpoints can be finite yet so large that their squared
-        # gap overflows; that is honest data, not a warning condition
+        # gap overflows to +inf, which is honest data, not a warning condition
         with np.errstate(over="ignore", invalid="ignore"):
             for ih, steps in enumerate(steps_list):
                 coarse = _coarsen_increments(inc, reference_steps // steps)
                 h = problem.horizon / steps
                 for ks, kind in enumerate(scheme_kinds):
-                    final, blown = _batch_endpoints(problem, kind, coarse, h)
+                    final, _ = _batch_endpoints(problem, kind, coarse, h)
                     gap = final - ref_final
                     sq_err[:, ks, ih] = np.sum(gap * gap, axis=1)
-                    study_blown[:, ks, ih] = blown
-        return sq_err, ref_blown, study_blown
+        return sq_err
 
-    parts = _run_chunks(worker, paths, threads)
-    sq_err = np.concatenate([p[0] for p in parts], axis=0)
-    ref_blown = np.concatenate([p[1] for p in parts], axis=0)
-    study_blown = np.concatenate([p[2] for p in parts], axis=0)
+    sq_err = np.concatenate(_run_chunks(worker, paths, threads), axis=0)
 
     reports: dict[SchemeKind, ConvergenceReport] = {}
     for ks, kind in enumerate(scheme_kinds):
@@ -329,7 +319,7 @@ def strong_error_table(
         stderrs = np.empty(n_h)
         excluded = np.empty(n_h, dtype=np.int64)
         for ih in range(n_h):
-            valid = ~(ref_blown | study_blown[:, ks, ih])
+            valid = ~np.isnan(sq_err[:, ks, ih])
             excluded[ih] = paths - int(np.sum(valid))
             if not np.any(valid):
                 raise EvaluationError(
@@ -484,16 +474,11 @@ class StabilityParams:
             raise ValueError(f"alpha must exceed 1, got {self.alpha}")
         if not (isinstance(self.m, (int, np.integer)) and self.m >= 1):
             raise ValueError(f"m must be a positive integer, got {self.m!r}")
-        if not 2.0 * self.rho > self.theta**2:
+        (gap, _), (excess, _), *_ = _terms(self, Fraction)
+        if not gap > 0:
             raise ValueError("need 2*rho > theta^2 for mean-square stability")
-        if not 2.0 * self.v > self.v_bar:
+        if not excess > 0:
             raise ValueError("need 2*v > v_bar")
-
-    @property
-    def correction_lipschitz_load(self) -> float:
-        """The combined constant (m^2/4)(m^2 + m) beta + lip_K."""
-        m2 = float(self.m) ** 2
-        return (m2 / 4.0) * (m2 + self.m) * self.beta + self.lip_K
 
 
 @dataclass(frozen=True)
@@ -505,9 +490,29 @@ class StabilityThreshold:
     h_star: float
 
 
-def _ratio_or_inf(numerator: float, denominator: float) -> float:
-    """``numerator / denominator`` for a positive numerator; +inf at a zero denominator."""
-    return numerator / denominator if denominator > 0 else math.inf
+def _terms(params: StabilityParams, num: Callable, h: float = 0.0) -> tuple:
+    """The (numerator, denominator) pairs of ``h2``, the two ``h1`` branches
+    and ``gamma_h`` at stepsize ``h`` in the number type ``num``."""
+    rho, theta, lip_K, beta, v, v_bar, _, m = map(num, astuple(params))
+    gap = 2 * rho - theta**2
+    load = (m**2 / 4) * (m**2 + m) * beta + lip_K
+    spread = (2 * lip_K + v_bar) * v_bar
+    return (gap, load), (v - v_bar / 2, lip_K * v), (2 * v, spread), (gap - load * num(h), 1)
+
+
+def _rounded(pair: Callable) -> float:
+    """``numerator / denominator`` of ``pair(num)`` (+inf at a zero denominator):
+    the float value where it is finite and positive, else the exact value
+    rounded once (+inf beyond the float range)."""
+    for num in (float, Fraction):
+        try:
+            numerator, denominator = pair(num)
+            value = float(numerator / denominator) if denominator > 0 else math.inf
+        except OverflowError:  # also a float ``** 2`` past the float range
+            value = math.inf
+        if 0 < value < math.inf:
+            return value
+    return value
 
 
 def stability_threshold(params: StabilityParams) -> StabilityThreshold:
@@ -517,26 +522,10 @@ def stability_threshold(params: StabilityParams) -> StabilityThreshold:
     ``min((2v - v_bar)/(2 K v), 2v/((2K + v_bar) v_bar))``, with the first
     branch vacuous (+inf) when K = 0. ``h2`` constrains the diffusion and
     correction load: ``(2 rho - theta^2) / ((m^2/4)(m^2+m) beta + K)``,
-    vacuous when that denominator is zero. A denominator that underflows to
-    zero (e.g. a subnormal K) gives +inf, the correctly rounded bound; one
-    that overflows is divided out one factor at a time instead.
+    vacuous when that denominator is zero; exact where floats over- or underflow.
     """
-    v, v_bar, lip_K = params.v, params.v_bar, params.lip_K
-    excess = v - v_bar / 2.0  # (2v - v_bar) / 2 without overflowing 2v
-    if math.isinf(lip_K * v):
-        h1_first = excess / v / lip_K
-    else:
-        h1_first = _ratio_or_inf(excess, lip_K * v)
-    spread = (2.0 * lip_K + v_bar) * v_bar
-    if math.isinf(spread):
-        h1_second = (v / v_bar) / (lip_K + v_bar / 2.0)
-    else:
-        h1_second = _ratio_or_inf(2.0 * v, spread)
-    h1 = min(h1_first, h1_second)
-
-    gap = 2.0 * params.rho - params.theta**2
-    h2 = _ratio_or_inf(gap, params.correction_lipschitz_load)
-    return StabilityThreshold(h1=h1, h2=h2, h_star=min(h1, h2))
+    h2, *h1 = (_rounded(lambda num, k=k: _terms(params, num)[k]) for k in range(3))
+    return StabilityThreshold(h1=min(h1), h2=h2, h_star=min(*h1, h2))
 
 
 def decay_rate(params: StabilityParams, stepsize: float) -> float:
@@ -551,7 +540,7 @@ def decay_rate(params: StabilityParams, stepsize: float) -> float:
         raise ValueError(
             f"stepsize must lie in (0, h*) = (0, {thr.h_star}); got {stepsize}"
         )
-    return (2.0 * params.rho - params.theta**2) - params.correction_lipschitz_load * stepsize
+    return _rounded(lambda num: _terms(params, num, stepsize)[3])
 
 
 @dataclass(frozen=True)

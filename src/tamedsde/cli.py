@@ -185,6 +185,12 @@ def _require_number(cfg, raw, key, *, integral=False, minimum=None, maximum=None
     return value
 
 
+def _require_dir(cfg, raw, key) -> str:
+    if not isinstance(raw, str) or not raw:
+        raise _fail(cfg, key, f"{key} must be a nonempty string")
+    return raw
+
+
 _RANGE_RE = re.compile(r"2\^(-?\d+)\s*\.\.\s*2\^(-?\d+)")
 
 
@@ -315,9 +321,7 @@ def load_config(path: str) -> ExperimentConfig:
         if key in document:
             setattr(cfg, key, _require_number(cfg, document[key], key, **rule))
     if "output_dir" in document:
-        if not isinstance(document["output_dir"], str) or not document["output_dir"]:
-            raise _fail(cfg, "output_dir", "output_dir must be a nonempty string")
-        cfg.output_dir = document["output_dir"]
+        cfg.output_dir = _require_dir(cfg, document["output_dir"], "output_dir")
     if "reference_scheme" in document:
         try:
             cfg.reference_scheme = SchemeKind.from_name(document["reference_scheme"]).value
@@ -586,7 +590,7 @@ def main(argv=None) -> int:
             if raw is not None:
                 setattr(cfg, key, _require_number(cfg, raw, f"--{key}", **_NUMBER_RULES[key]))
         if args.out is not None:
-            cfg.output_dir = args.out
+            cfg.output_dir = _require_dir(cfg, args.out, "--out")
         if args.threads < 1:
             raise ConfigError("--threads must be >= 1")
         written = run(cfg, threads=args.threads)

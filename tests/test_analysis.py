@@ -485,6 +485,114 @@ def test_threshold_near_the_float_maximum(v, h1):
     assert thr.h_star == h1
 
 
+_EDGE_BASE = dict(rho=2.0, theta=1.0, lip_K=2.0, beta=2.0, v=1.0, v_bar=1.0, alpha=5.0, m=1)
+
+
+@pytest.mark.parametrize(
+    "overrides, h1, h2, gamma",
+    [
+        (dict(rho=1e308), 0.25, 6.666666666666666e307, None),
+        (
+            dict(lip_K=1.7e308, v=1e308, v_bar=1e308),
+            2.941176470588236e-309,
+            1.764705882352941e-308,
+            None,
+        ),
+        (dict(lip_K=1e-200, v=1e-200, v_bar=1e-200), 5e199, 3.0, None),
+        (dict(lip_K=1e-200, v=1e-200, v_bar=1e-200, beta=0.0), 5e199, 3e200, None),
+        (dict(rho=1.5e308, theta=1.4e154), 0.25, 3.4666666666666674e307, 1.0400000000000002e308),
+        (dict(m=10**200), 0.25, 0.0, None),
+    ],
+    ids=["huge-rho", "huge-K-v", "tiny-K-v", "tiny-K-v-beta-0", "huge-theta-squared", "huge-m"],
+)
+def test_threshold_beyond_the_float_formulas(overrides, h1, h2, gamma):
+    """Bounds whose float formula overflows, underflows or raises are the
+    exact values rounded once; an exact bound below the float range is 0."""
+    params = StabilityParams(**{**_EDGE_BASE, **overrides})
+    thr = stability_threshold(params)
+    assert (thr.h1, thr.h2, thr.h_star) == (h1, h2, min(h1, h2))
+    if gamma is not None:
+        assert decay_rate(params, 1.0 / 16) == gamma
+
+
+def _float_formulas(p, h):
+    """h2, the two h1 branches and gamma_h by the plain float formulas."""
+    m2 = float(p.m) ** 2
+    load = (m2 / 4.0) * (m2 + p.m) * p.beta + p.lip_K
+    gap = 2.0 * p.rho - p.theta**2
+    pairs = [(gap, load), (p.v - p.v_bar / 2.0, p.lip_K * p.v)]
+    pairs += [(2.0 * p.v, (2.0 * p.lip_K + p.v_bar) * p.v_bar), (gap - load * h, 1.0)]
+    return [n / d if d > 0 else math.inf for n, d in pairs]
+
+
+def _exact_formulas(p, h):
+    """The same four values in exact arithmetic, each rounded once."""
+    rho, theta, lip_K, beta, v, v_bar, m = map(
+        Fraction, (p.rho, p.theta, p.lip_K, p.beta, p.v, p.v_bar, p.m)
+    )
+    load = (m * m / 4) * (m * m + m) * beta + lip_K
+    gap = 2 * rho - theta * theta
+    pairs = [(gap, load), (v - v_bar / 2, lip_K * v)]
+    pairs += [(2 * v, (2 * lip_K + v_bar) * v_bar), (gap - load * Fraction(h), 1)]
+    values = []
+    for n, d in pairs:
+        try:
+            values.append(float(n / d) if d > 0 else math.inf)
+        except OverflowError:
+            values.append(math.inf)
+    return values
+
+
+_LOG_UNIFORM = st.floats(min_value=-300.0, max_value=300.0).map(lambda e: 10.0**e)
+_UNIT = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rho=_LOG_UNIFORM,
+    u=_UNIT,
+    lip_K=_LOG_UNIFORM,
+    beta=_LOG_UNIFORM,
+    v=_LOG_UNIFORM,
+    u_bar=_UNIT,
+    m=st.integers(min_value=1, max_value=4),
+    h_frac=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+)
+def test_threshold_is_the_float_formula_or_the_exact_value(
+    rho, u, lip_K, beta, v, u_bar, m, h_frac
+):
+    """Every bound and gamma_h is the float formula's value where that is
+    finite and positive, bit for bit, and the exact value rounded once
+    elsewhere; none is NaN."""
+    try:
+        params = StabilityParams(
+            rho=rho,
+            theta=math.sqrt(2.0 * rho * u),
+            lip_K=lip_K,
+            beta=beta,
+            v=v,
+            v_bar=2.0 * v * u_bar,
+            alpha=5.0,
+            m=m,
+        )
+    except ValueError:
+        return
+    thr = stability_threshold(params)
+    h = h_frac * thr.h_star
+    has_gamma = 0 < h < thr.h_star
+    floats = _float_formulas(params, h if has_gamma else 0.0)
+    exact = _exact_formulas(params, h if has_gamma else 0.0)
+    h2, h1_first, h1_second, gamma = (
+        f if 0 < f < math.inf else e for f, e in zip(floats, exact)
+    )
+    h1 = min(h1_first, h1_second)
+    assert [x.hex() for x in (thr.h1, thr.h2, thr.h_star)] == [
+        x.hex() for x in (h1, h2, min(h1, h2))
+    ]
+    if has_gamma:
+        assert decay_rate(params, h).hex() == gamma.hex()
+
+
 def test_decay_rate_vanishes_at_binding_h2():
     # h2 < h1 here, so the decay rate crosses zero exactly at h2.
     params = StabilityParams(
@@ -510,6 +618,8 @@ def test_params_validation():
         StabilityParams(**{**good, "m": 0})
     with pytest.raises(ValueError, match="2\\*rho"):
         StabilityParams(**{**good, "theta": 2.0})
+    with pytest.raises(ValueError, match="2\\*rho"):  # theta^2 beyond the float range
+        StabilityParams(**{**good, "theta": 1e200})
     with pytest.raises(ValueError, match="2\\*v"):
         StabilityParams(**{**good, "v_bar": 2.5})
     with pytest.raises(ValueError, match="finite"):

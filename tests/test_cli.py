@@ -9,6 +9,7 @@ import json
 import math
 import os
 import pkgutil
+import re
 import shutil
 import subprocess
 import sys
@@ -707,6 +708,45 @@ def test_threshold_near_the_float_maximum(tmp_path, v, h1):
     assert lines[4:] == [f"h={h} gamma_h=n/a (outside (0, h_star))" for h in ("0.0625", "0.25")]
 
 
+@pytest.mark.parametrize(
+    "overrides, lines",
+    [
+        (
+            dict(rho=1.5e308, theta=1.4e154),
+            ["h1=0.25", "h2=3.4666666666666674e+307", "h_star=0.25"]
+            + ["h=0.0625 gamma_h=1.0400000000000002e+308"],
+        ),
+        (
+            dict(m=10**200),
+            ["h1=0.25", "h2=0.0", "h_star=0.0"]
+            + ["h=0.0625 gamma_h=n/a (outside (0, h_star))"],
+        ),
+    ],
+    ids=["huge-theta-squared", "huge-m"],
+)
+def test_main_threshold_beyond_the_float_formulas(tmp_path, capsys, overrides, lines):
+    """Constants whose float formulas raise give the exact bounds, exit 0."""
+    out = tmp_path / "out"
+    payload = threshold_payload(output_dir=str(out))
+    payload["stability_params"].update(overrides)
+    assert main(["threshold", "--config", write_config(tmp_path, payload)]) == 0
+    written = (out / "threshold.txt").read_text().splitlines()
+    assert written[:3] + written[4:5] == lines
+    assert capsys.readouterr().err == ""
+
+
+def test_main_threshold_theta_squared_beyond_the_float_range_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    payload = threshold_payload(output_dir=str(out))
+    payload["stability_params"]["theta"] = 1e200
+    path = write_config(tmp_path, payload)
+    assert main(["threshold", "--config", path]) == 2
+    anchor = f"{path}:{line_of(path, 'stability_params')}"
+    message = "invalid stability_params: need 2*rho > theta^2 for mean-square stability"
+    assert capsys.readouterr().err == f"error: {anchor}: {message}\n"
+    assert not out.exists()
+
+
 def test_threshold_nan_exits_3_and_writes_nothing(tmp_path, capsys, monkeypatch):
     """Only +inf is written as inf; a NaN bound is refused."""
     monkeypatch.setattr(
@@ -794,13 +834,15 @@ def test_main_runtime_failure_is_exit_3(tmp_path, capsys):
 
 
 def test_main_rejects_bad_overrides(tmp_path, capsys):
-    """--seed and --paths obey the config's rules and name the config they override."""
+    """--seed, --paths and --out obey the config's rules and name the config
+    they override."""
     out = tmp_path / "out"
     path = write_config(tmp_path, threshold_payload(output_dir=str(out)))
     for flag, value, message in [
         ("--seed", "-1", f"{path}: --seed must be >= 0, got -1"),
         ("--paths", "0", f"{path}: --paths must be >= 1, got 0"),
         ("--paths", "4294967297", f"{path}: --paths must be <= 4294967296, got 4294967297"),
+        ("--out", "", f"{path}: --out must be a nonempty string"),
         ("--threads", "0", "--threads must be >= 1"),
     ]:
         assert main(["threshold", "--config", path, flag, value]) == 2
@@ -940,3 +982,15 @@ def test_pinned_exports_survive():
         homes = [module for module in modules if name in module.__all__]
         assert len(homes) == 1, name
         assert getattr(tamedsde, name) is getattr(homes[0], name)
+
+
+def test_readme_python_examples_run(capsys):
+    """The README's Python blocks run in order in one namespace, so a renamed
+    or reshaped API fails here instead of leaving the docs stale."""
+    blocks = re.findall(r"```python\n(.*?)```", (REPO / "README.md").read_text(), re.S)
+    assert len(blocks) == 2
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    assert capsys.readouterr().out == "[1.80901607] False\n"
+    assert namespace["cubic"].dim_state == 1
