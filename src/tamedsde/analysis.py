@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass
@@ -502,7 +503,8 @@ def _terms(params: StabilityParams, num: Callable, h: float = 0.0) -> tuple:
 
 def _rounded(pair: Callable) -> float:
     """``numerator / denominator`` of ``pair(num)`` (+inf at a zero denominator):
-    the float value where it is finite and positive, else the exact value
+    the float value where it is finite and positive and neither float operand
+    is subnormal (a subnormal has lost precision), else the exact value
     rounded once (+inf beyond the float range)."""
     for num in (float, Fraction):
         try:
@@ -510,7 +512,9 @@ def _rounded(pair: Callable) -> float:
             value = float(numerator / denominator) if denominator > 0 else math.inf
         except OverflowError:  # also a float ``** 2`` past the float range
             value = math.inf
-        if 0 < value < math.inf:
+        if 0 < value < math.inf and (
+            num is Fraction or min(abs(numerator), denominator) >= sys.float_info.min
+        ):
             return value
     return value
 

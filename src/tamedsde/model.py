@@ -301,16 +301,54 @@ def check_commutativity(
 _SQRT2 = float(np.sqrt(2.0))
 
 
+# Coefficients of the built-in problems live at module level so that the
+# problems pickle (by reference to these functions).
+
+
+def _linear_growth(x):
+    return 2.0 * x
+
+
+def _linear_decay(x):
+    return -2.0 * x
+
+
+def _quintic_decay(x):
+    """``-x^5`` by multiplication.
+
+    Exactly odd, and as fast on negative states as on positive ones: numpy's
+    ``x**5`` takes a slow path on each negative base.
+    """
+    x2 = x * x
+    return -(x2 * x2 * x)
+
+
+def _identity_column(x, j):
+    return x
+
+
+def _sqrt2_column(x, j):
+    return _SQRT2 * x
+
+
+def _identity_product(x, j1, j2):
+    return x
+
+
+def _doubled_product(x, j1, j2):
+    return 2.0 * x
+
+
 def _make_unstable_cubic() -> SdeProblem:
     # dX = (2X - X^5) dt + X dW: linear growth 2X makes the zero solution
     # mean-square unstable; the quintic term is the one-sided part.
     return SdeProblem(
         dim_state=1,
         dim_noise=1,
-        phi=lambda x: 2.0 * x,
-        varphi=lambda x: -(x**5),
-        diffusion_column=lambda x, j: x,
-        diffusion_derivative_product=lambda x, j1, j2: x,
+        phi=_linear_growth,
+        varphi=_quintic_decay,
+        diffusion_column=_identity_column,
+        diffusion_derivative_product=_identity_product,
         initial_value=np.array([1.0]),
         horizon=1.0,
         label="ginzburg-landau-unstable",
@@ -324,10 +362,10 @@ def _make_stable() -> SdeProblem:
     return SdeProblem(
         dim_state=1,
         dim_noise=1,
-        phi=lambda x: -2.0 * x,
-        varphi=lambda x: -(x**5),
-        diffusion_column=lambda x, j: _SQRT2 * x,
-        diffusion_derivative_product=lambda x, j1, j2: 2.0 * x,
+        phi=_linear_decay,
+        varphi=_quintic_decay,
+        diffusion_column=_sqrt2_column,
+        diffusion_derivative_product=_doubled_product,
         initial_value=np.array([1.0]),
         horizon=5.0,
         label="ginzburg-landau-stable",

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import os
+import sys
 import threading
 import time
 from fractions import Fraction
@@ -516,13 +517,18 @@ def test_threshold_beyond_the_float_formulas(overrides, h1, h2, gamma):
 
 
 def _float_formulas(p, h):
-    """h2, the two h1 branches and gamma_h by the plain float formulas."""
+    """h2, the two h1 branches and gamma_h by the plain float formulas; NaN
+    where a numerator or denominator is subnormal."""
     m2 = float(p.m) ** 2
     load = (m2 / 4.0) * (m2 + p.m) * p.beta + p.lip_K
     gap = 2.0 * p.rho - p.theta**2
     pairs = [(gap, load), (p.v - p.v_bar / 2.0, p.lip_K * p.v)]
     pairs += [(2.0 * p.v, (2.0 * p.lip_K + p.v_bar) * p.v_bar), (gap - load * h, 1.0)]
-    return [n / d if d > 0 else math.inf for n, d in pairs]
+    tiny = sys.float_info.min
+    return [
+        math.nan if 0 < abs(n) < tiny or 0 < d < tiny else n / d if d > 0 else math.inf
+        for n, d in pairs
+    ]
 
 
 def _exact_formulas(p, h):
@@ -541,6 +547,21 @@ def _exact_formulas(p, h):
         except OverflowError:
             values.append(math.inf)
     return values
+
+
+@pytest.mark.parametrize(
+    "lip_K, v", [(1e-10, 3e-313), (3e-150, 7e-163)], ids=["subnormal-v", "subnormal-K-v"]
+)
+def test_threshold_from_subnormal_operands_is_exact(lip_K, v):
+    """A subnormal numerator or denominator has lost precision, so its
+    finite positive float quotient is not trusted: h1 is the exact value
+    (5e9 in the first case, where the float formula gives 5060056332.67)."""
+    params = StabilityParams(**{**_EDGE_BASE, "lip_K": lip_K, "v": v, "v_bar": v})
+    h2, h1_first, h1_second, _ = _exact_formulas(params, 0.0)
+    thr = stability_threshold(params)
+    assert (thr.h1, thr.h2) == (min(h1_first, h1_second), h2)
+    if lip_K == 1e-10:
+        assert thr.h1 == 5e9
 
 
 _LOG_UNIFORM = st.floats(min_value=-300.0, max_value=300.0).map(lambda e: 10.0**e)
@@ -562,8 +583,8 @@ def test_threshold_is_the_float_formula_or_the_exact_value(
     rho, u, lip_K, beta, v, u_bar, m, h_frac
 ):
     """Every bound and gamma_h is the float formula's value where that is
-    finite and positive, bit for bit, and the exact value rounded once
-    elsewhere; none is NaN."""
+    finite and positive from normal operands, bit for bit, and the exact
+    value rounded once elsewhere; none is NaN."""
     try:
         params = StabilityParams(
             rho=rho,

@@ -368,6 +368,17 @@ def test_job_list_covers_configs_and_results():
     )
 
 
+def test_script_reports_how_a_result_file_changed():
+    describe = SCRIPT.describe_change
+    old = b"scheme,h,t\nem,0.25,2.0e-300\nh1=0.25 x=inf\n"
+    assert describe(None, old) == "new file"
+    assert describe(old, old) == "unchanged"
+    moved = b"scheme,h,t\nem,0.25,2.2e-300\nh1=0.25 x=inf\n"
+    assert describe(old, moved) == "changed, largest relative change of a number 0.1"
+    assert describe(old, old.replace(b"h1", b"h2")) == "changed beyond its numbers"
+    assert describe(old, old.replace(b"inf", b"1.0")).endswith("number inf")
+
+
 @pytest.mark.parametrize(
     "kind, config, name", COMMITTED_RESULTS, ids=[name for *_, name in COMMITTED_RESULTS]
 )

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -134,6 +137,36 @@ def test_restarted_generator_carries_no_state():
     assert np.array_equal(second, _restarted_draw(_generator(), keys[2], 5))
     assert np.array_equal(second, _seed_sequence_draw(SEED, 42, 5, 1, 1.0))
     assert np.array_equal(again, _seed_sequence_draw(SEED, 40, 7, 1, 1.0))
+
+
+def test_concurrent_chunk_draws_match_sequential_ones():
+    """Each chunk restarts its own generator through its own state dict, so
+    threads drawing chunks at once get the sequential blocks bit for bit."""
+    ranges = [(lo, lo + 128) for lo in range(0, 128 * 32, 128)]
+    expected = [analysis._stack_increments(SEED, lo, hi, 20, 2, 1.0) for lo, hi in ranges]
+    got = [None] * len(ranges)
+    workers = 4  # more than the two cores a small host has
+    start = threading.Barrier(workers)
+
+    def work(first):
+        start.wait(timeout=30)
+        for k in range(first, len(ranges), workers):
+            got[k] = analysis._stack_increments(SEED, *ranges[k], 20, 2, 1.0)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(w,)) for w in range(workers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for block, want in zip(got, expected):
+        assert block is not None
+        assert np.array_equal(block.view(np.uint64), want.view(np.uint64))
 
 
 def test_scaling_a_zero_draw_gives_positive_zero():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from tamedsde import (
     SchemeKind,
@@ -23,6 +24,7 @@ from tamedsde import (
     tame,
 )
 from tamedsde import analysis, schemes
+from tamedsde.model import _levy_product
 
 from conftest import SEED, make_diagonal_2d, make_gbm, make_swapped_2d
 
@@ -182,6 +184,125 @@ def test_steps_broadcast_over_batches(unstable):
         assert batched.shape == (6, 1)
         rows = np.stack([fn(unstable, xs[i], dws[i], H) for i in range(6)])
         assert np.array_equal(batched, rows)
+
+
+# ------------------------------------------------------------------
+# The step kernel against the out-of-place formula
+# ------------------------------------------------------------------
+
+def _reference_step(problem, x, dW, h, taming, milstein):
+    """The step formula with every operation out of place."""
+    x = np.asarray(x, dtype=np.float64)
+    dW = np.asarray(dW, dtype=np.float64)
+
+    def tamed(v):
+        sq = v * v
+        if sq.shape[-1] > 1:
+            sq = np.add.reduce(sq, axis=-1, keepdims=True)
+        return v / (1.0 + h * np.sqrt(sq))
+
+    if taming == "varphi":
+        x_next = x + problem.phi(x) * h + tamed(problem.varphi(x)) * h
+    else:
+        drift = problem.phi(x) + problem.varphi(x)
+        x_next = x + (tamed(drift) if taming == "full" else drift) * h
+    noise = problem.diffusion_column(x, 0) * dW[..., 0:1]
+    for j in range(1, problem.dim_noise):
+        noise = noise + problem.diffusion_column(x, j) * dW[..., j : j + 1]
+    x_next = x_next + noise
+    if milstein:
+        corr = None
+        for j in range(problem.dim_noise):
+            dw = dW[..., j : j + 1]
+            term = 0.5 * _levy_product(problem, x, j, j) * (dw * dw - h)
+            corr = term if corr is None else corr + term
+        for j1 in range(problem.dim_noise):
+            for j2 in range(j1 + 1, problem.dim_noise):
+                coeff = _levy_product(problem, x, j1, j2)
+                corr = corr + coeff * (dW[..., j1 : j1 + 1] * dW[..., j2 : j2 + 1])
+        x_next = x_next + corr
+    return x_next
+
+
+def _narrow_product_2d():
+    """g_j(x) = c_j x_1 (1, 1): L^j1 g_j2 = c_j1 c_j2 x_1 (1, 1), returned
+    as a (..., 1) column that broadcasts against the (..., 2) state."""
+    scale = (0.5, 1.5)
+    return SdeProblem(
+        dim_state=2,
+        dim_noise=2,
+        phi=lambda x: -x,
+        varphi=lambda x: -(x**3),
+        diffusion_column=lambda x, j: scale[j] * x[..., :1] * np.ones(2),
+        diffusion_derivative_product=lambda x, j1, j2: scale[j1] * scale[j2] * x[..., :1],
+        initial_value=np.array([1.0, 0.5]),
+        horizon=1.0,
+        commutative=True,
+    )
+
+
+def _coefficients_of_dtype(phi_dtype, dtype):
+    """phi returning ``phi_dtype`` arrays and the other coefficients
+    ``dtype`` ones. No float32 or int64 temporary may take a float64 result
+    in place (it would be rounded or refused), and no float64 temporary a
+    longdouble one. The derivative product is float64 whatever it returns."""
+
+    def cast(fn, to):
+        return lambda x, *noise: np.asarray(fn(x), dtype=np.float64).astype(to)
+
+    with np.errstate(invalid="ignore"):  # int64 casts of non-finite states
+        return SdeProblem(
+            dim_state=1,
+            dim_noise=1,
+            phi=cast(lambda x: x + 1.0, phi_dtype),
+            varphi=cast(lambda x: -(x**3), dtype),
+            diffusion_column=cast(lambda x: 0.5 * x, dtype),
+            diffusion_derivative_product=cast(lambda x: 0.25 * x, dtype),
+            initial_value=np.array([1.0]),
+            horizon=1.0,
+        )
+
+
+_STEP_PROBLEMS = {
+    "unstable": lambda: builtin_problem("ginzburg-landau-unstable"),
+    "stable": lambda: builtin_problem("ginzburg-landau-stable"),
+    "diagonal-2d-fd": make_diagonal_2d,
+    "swapped-2d-fd": make_swapped_2d,
+    "narrow-product-2d": _narrow_product_2d,
+    "float32-coefficients": lambda: _coefficients_of_dtype(np.float32, np.float32),
+    "int64-coefficients": lambda: _coefficients_of_dtype(np.int64, np.int64),
+    "longdouble-coefficients": lambda: _coefficients_of_dtype(np.float64, np.longdouble),
+}
+
+
+@st.composite
+def _step_inputs(draw):
+    name = draw(st.sampled_from(sorted(_STEP_PROBLEMS)))
+    problem = _STEP_PROBLEMS[name]()
+    d, m = problem.dim_state, problem.dim_noise
+    batch = draw(st.integers(min_value=1, max_value=6))
+    # a (d,) state with (batch, m) noise broadcasts to a (batch, d) step
+    x_shape = draw(st.sampled_from([(batch, d), (d,)]))
+    values = st.floats(allow_nan=True, allow_infinity=True, width=64)
+    scaled = st.floats(min_value=-1e3, max_value=1e3) | values
+    x = draw(hnp.arrays(np.float64, x_shape, elements=scaled))
+    dW = draw(hnp.arrays(np.float64, (batch, m), elements=st.floats(-3.0, 3.0) | values))
+    h = draw(st.floats(min_value=0.0, max_value=2.0))
+    return name, problem, x, dW, h
+
+
+@settings(max_examples=400, deadline=None)
+@given(_step_inputs())
+def test_step_matches_the_out_of_place_formula_bitwise(inputs):
+    name, problem, x, dW, h = inputs
+    for kind in SchemeKind:
+        with np.errstate(all="ignore"):
+            want = _reference_step(problem, x, dW, h, kind.taming, kind.is_milstein)
+            got = step_function(kind)(problem, x, dW, h)
+        assert got.shape == want.shape and got.dtype == want.dtype, (name, kind.value)
+        assert np.array_equal(_bits(got), _bits(want)), (name, kind.value)
+        # a longdouble step agrees beyond float64 too
+        assert np.array_equal(got, want, equal_nan=True), (name, kind.value)
 
 
 # ------------------------------------------------------------------
