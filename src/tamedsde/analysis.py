@@ -526,7 +526,8 @@ def stability_threshold(params: StabilityParams) -> StabilityThreshold:
     ``min((2v - v_bar)/(2 K v), 2v/((2K + v_bar) v_bar))``, with the first
     branch vacuous (+inf) when K = 0. ``h2`` constrains the diffusion and
     correction load: ``(2 rho - theta^2) / ((m^2/4)(m^2+m) beta + K)``,
-    vacuous when that denominator is zero; exact where floats over- or underflow.
+    vacuous when that denominator is zero; exact where floats over- or underflow
+    or turn subnormal.
     """
     h2, *h1 = (_rounded(lambda num, k=k: _terms(params, num)[k]) for k in range(3))
     return StabilityThreshold(h1=min(h1), h2=h2, h_star=min(*h1, h2))

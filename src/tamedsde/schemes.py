@@ -105,7 +105,9 @@ def _into(temp: np.ndarray, other: "np.ndarray | None" = None):
     ``other`` may write: ``temp`` when the result has its dtype and shape,
     else ``None`` (the ufunc allocates). That holds for a float64 ``temp``
     against a float scalar (``other`` None) or against a float64 array of
-    its shape. The values are the same either way."""
+    its shape. The values are the same either way, up to which NaN an
+    operation on two NaNs returns (numpy's loops differ there, and
+    :func:`_propagate` turns every non-finite row into one NaN)."""
     if temp.dtype is not _F64:
         return None
     if other is None or (other.dtype is _F64 and other.shape == temp.shape):

@@ -296,13 +296,18 @@ def _step_inputs(draw):
 def test_step_matches_the_out_of_place_formula_bitwise(inputs):
     name, problem, x, dW, h = inputs
     for kind in SchemeKind:
-        with np.errstate(all="ignore"):
+        with np.errstate(all="ignore"):  # also longdouble values beyond float64
             want = _reference_step(problem, x, dW, h, kind.taming, kind.is_milstein)
             got = step_function(kind)(problem, x, dW, h)
-        assert got.shape == want.shape and got.dtype == want.dtype, (name, kind.value)
-        assert np.array_equal(_bits(got), _bits(want)), (name, kind.value)
-        # a longdouble step agrees beyond float64 too
-        assert np.array_equal(got, want, equal_nan=True), (name, kind.value)
+            assert got.shape == want.shape and got.dtype == want.dtype, (name, kind.value)
+            # numpy picks the sign and payload of a NaN from two NaN operands by
+            # loop variant (in place or not, vector body or tail), which IEEE 754
+            # leaves open; _propagate replaces every non-finite row with one NaN
+            nan = np.isnan(got)
+            assert np.array_equal(nan, np.isnan(want)), (name, kind.value)
+            assert np.array_equal(_bits(got[~nan]), _bits(want[~nan])), (name, kind.value)
+            # a longdouble step agrees beyond float64 too
+            assert np.array_equal(got, want, equal_nan=True), (name, kind.value)
 
 
 # ------------------------------------------------------------------
