@@ -100,38 +100,30 @@ def _stream_keys(seed: int, lo: int, hi: int) -> np.ndarray:
     return wide[:, 0::2] | wide[:, 1::2] << np.uint64(32)  # low word first
 
 
-def _generator() -> tuple:
-    """A reusable Philox generator and the one state dict that restarts it.
+def _generator() -> np.random.Generator:
+    """A reusable Philox generator; :func:`_draw_increments` sets its state."""
+    return np.random.Generator(np.random.Philox(0))  # fixed seed: no OS entropy
 
-    The dict is the state a Philox freshly built from a seed sequence has:
-    counter 0 and an empty buffer. :func:`_draw_increments` writes a stream's
-    key into it before each restart, so each generator has its own dict.
+
+def _draw_increments(gen: np.random.Generator, key, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` with the standard normals of the stream with Philox ``key``.
+
+    ``key`` is the stream's two key words, ideally as Python ints (numpy
+    converts an array row element by element). ``gen`` is restarted at
+    counter 0 with an empty buffer, exactly the state a Philox freshly built
+    from the stream's seed sequence has, so nothing carries over from the
+    stream drawn before. :func:`_scale_increments` turns the normals into
+    increments.
     """
-    restart = {
+    gen.bit_generator.state = {
         "bit_generator": "Philox",
-        "state": {"counter": (0, 0, 0, 0), "key": (0, 0)},
+        "state": {"counter": (0, 0, 0, 0), "key": key},
         "buffer": (0, 0, 0, 0),
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,
     }
-    return np.random.Generator(np.random.Philox(0)), restart  # fixed seed: no OS entropy
-
-
-def _draw_increments(gen: tuple, key, out: np.ndarray) -> np.ndarray:
-    """Fill ``out`` with the standard normals of the stream with Philox ``key``.
-
-    ``gen`` comes from :func:`_generator`. ``key`` is the stream's two key
-    words, ideally as Python ints (numpy converts an array row element by
-    element). The generator is restarted at counter 0 with an empty buffer,
-    exactly the state a Philox freshly built from the stream's seed sequence
-    has, so nothing carries over from the stream drawn before.
-    :func:`_scale_increments` turns the normals into increments.
-    """
-    generator, restart = gen
-    restart["state"]["key"] = key
-    generator.bit_generator.state = restart
-    return generator.standard_normal(out=out)
+    return gen.standard_normal(out=out)
 
 
 def _scale_increments(z: np.ndarray, steps: int, horizon: float) -> np.ndarray:

@@ -97,31 +97,6 @@ class SchemeKind(enum.Enum):
         return "varphi" if self.value.startswith("semi-") else "full"
 
 
-_F64 = np.dtype(np.float64)
-
-
-def _into(temp: np.ndarray, other: "np.ndarray | None" = None):
-    """Where an operation on ``temp``, a temporary the step made, and
-    ``other`` may write: ``temp`` when the result has its dtype and shape,
-    else ``None`` (the ufunc allocates). That holds for a float64 ``temp``
-    against a float scalar (``other`` None) or against a float64 array of
-    its shape. The values are the same either way, up to which NaN an
-    operation on two NaNs returns (numpy's loops differ there, and
-    :func:`_propagate` turns every non-finite row into one NaN)."""
-    if temp.dtype is not _F64:
-        return None
-    if other is None or (other.dtype is _F64 and other.shape == temp.shape):
-        return temp
-    return None
-
-
-def _float64(a) -> np.ndarray:
-    """``np.asarray(a, dtype=np.float64)``, skipped for a float64 ndarray."""
-    if type(a) is np.ndarray and a.dtype is _F64:
-        return a
-    return np.asarray(a, dtype=np.float64)
-
-
 def tame(v: np.ndarray, h: float) -> np.ndarray:
     """Damp a drift vector: ``v / (1 + h ||v||)`` (Euclidean norm).
 
@@ -138,27 +113,20 @@ def tame(v: np.ndarray, h: float) -> np.ndarray:
 
 
 def _tame(v: np.ndarray, h: float) -> np.ndarray:
-    """``tame`` for a ``(..., d)`` array and ``h >= 0``, unchecked.
+    """``tame`` for a float64 ``(..., d)`` array and ``h >= 0``, unchecked.
 
     ``np.add.reduce`` is the summation ``np.sum`` runs, minus its wrapper.
     """
     sq = v * v
     if sq.shape[-1] > 1:  # a sum of one term is that term
         sq = np.add.reduce(sq, axis=-1, keepdims=True)
-    den = np.sqrt(sq, out=_into(sq))
-    den = np.multiply(h, den, out=_into(den))
-    den = np.add(1.0, den, out=_into(den))
-    return np.divide(v, den, out=_into(den, v))
+    return v / (1.0 + h * np.sqrt(sq))
 
 
 def _diffusion_term(problem: SdeProblem, x: np.ndarray, dW: np.ndarray) -> np.ndarray:
-    m = problem.dim_noise
-    if m == 1:  # dW[..., 0:1] is dW
-        return problem.diffusion_column(x, 0) * dW
     term = problem.diffusion_column(x, 0) * dW[..., 0:1]
-    for j in range(1, m):
-        part = problem.diffusion_column(x, j) * dW[..., j : j + 1]
-        term = np.add(term, part, out=_into(term, part))
+    for j in range(1, problem.dim_noise):
+        term = term + problem.diffusion_column(x, j) * dW[..., j : j + 1]
     return term
 
 
@@ -171,55 +139,38 @@ def milstein_correction(
     unordered pair ``j1 < j2`` of ``(L^j1 g_j2)(x) dW_j1 dW_j2`` (the
     ordered pair sum collapsed under commutativity).
     """
-    return _correction(problem, _float64(x), _float64(dW), h)
-
-
-def _correction(problem, x, dW, h):
-    """``milstein_correction`` for float64 arrays."""
-    m = problem.dim_noise
+    x = np.asarray(x, dtype=np.float64)
+    dW = np.asarray(dW, dtype=np.float64)
     corr = None
-    for j in range(m):
-        dw_j = dW if m == 1 else dW[..., j : j + 1]
-        sq = dw_j * dw_j
-        sq = np.subtract(sq, h, out=_into(sq))
-        half = 0.5 * _levy_product(problem, x, j, j)
-        term = np.multiply(half, sq, out=_into(sq, half))
-        corr = term if corr is None else np.add(corr, term, out=_into(corr, term))
-    for j1 in range(m):
-        for j2 in range(j1 + 1, m):
+    for j in range(problem.dim_noise):
+        dw_j = dW[..., j : j + 1]
+        coeff = _levy_product(problem, x, j, j)
+        term = 0.5 * coeff * (dw_j * dw_j - h)
+        corr = term if corr is None else corr + term
+    for j1 in range(problem.dim_noise):
+        for j2 in range(j1 + 1, problem.dim_noise):
             coeff = _levy_product(problem, x, j1, j2)
-            both = dW[..., j1 : j1 + 1] * dW[..., j2 : j2 + 1]
-            term = np.multiply(coeff, both, out=_into(both, coeff))
-            corr = np.add(corr, term, out=_into(corr, term))
+            corr = corr + coeff * (dW[..., j1 : j1 + 1] * dW[..., j2 : j2 + 1])
     return corr
 
 
 def _step(problem, x, dW, h, taming, milstein):
     """``x + drift h + sum_j g_j(x) dW_j``, plus the correction if ``milstein``.
 
-    ``x`` and ``dW`` are float64 arrays. ``taming`` picks the drift term:
-    ``phi + varphi`` ("none"), ``tame(phi + varphi, h)`` ("full") or
-    ``phi + tame(varphi, h)`` ("varphi"). The additions run in this order
-    for every scheme. Temporaries are reused through :func:`_into`; ``x``,
-    ``dW`` and whatever a coefficient returns are never written.
+    ``taming`` picks the drift term: ``phi + varphi`` ("none"),
+    ``tame(phi + varphi, h)`` ("full") or ``phi + tame(varphi, h)``
+    ("varphi"). The additions run in this order for every scheme.
     """
+    x = np.asarray(x, dtype=np.float64)
+    dW = np.asarray(dW, dtype=np.float64)
     if taming == "varphi":
-        regular = problem.phi(x) * h
-        x_next = np.add(x, regular, out=_into(regular, x))
-        tamed = _tame(problem.varphi(x), h)
-        tamed = np.multiply(tamed, h, out=_into(tamed))
-        x_next = np.add(x_next, tamed, out=_into(x_next, tamed))
+        x_next = x + problem.phi(x) * h + _tame(problem.varphi(x), h) * h
     else:
         drift = problem.phi(x) + problem.varphi(x)
-        if taming == "full":
-            drift = _tame(drift, h)
-        drift = np.multiply(drift, h, out=_into(drift))
-        x_next = np.add(x, drift, out=_into(drift, x))
-    noise = _diffusion_term(problem, x, dW)
-    x_next = np.add(x_next, noise, out=_into(x_next, noise))
+        x_next = x + (_tame(drift, h) if taming == "full" else drift) * h
+    x_next = x_next + _diffusion_term(problem, x, dW)
     if milstein:
-        corr = _correction(problem, x, dW, h)
-        x_next = np.add(x_next, corr, out=_into(x_next, corr))
+        x_next = x_next + milstein_correction(problem, x, dW, h)
     return x_next
 
 
@@ -231,7 +182,7 @@ def step_function(scheme: "str | SchemeKind"):
     def step(problem, x, dW, h):
         if taming != "none" and h < 0:
             raise ValueError(f"h must be nonnegative, got {h}")
-        return _step(problem, _float64(x), _float64(dW), h, taming, milstein)
+        return _step(problem, x, dW, h, taming, milstein)
 
     return step
 

@@ -140,8 +140,8 @@ def test_restarted_generator_carries_no_state():
 
 
 def test_concurrent_chunk_draws_match_sequential_ones():
-    """Each chunk restarts its own generator through its own state dict, so
-    threads drawing chunks at once get the sequential blocks bit for bit."""
+    """Each chunk builds and restarts its own generator, so threads drawing
+    chunks at once get the sequential blocks bit for bit."""
     ranges = [(lo, lo + 128) for lo in range(0, 128 * 32, 128)]
     expected = [analysis._stack_increments(SEED, lo, hi, 20, 2, 1.0) for lo, hi in ranges]
     got = [None] * len(ranges)

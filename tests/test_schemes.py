@@ -288,6 +288,8 @@ def _step_inputs(draw):
     x = draw(hnp.arrays(np.float64, x_shape, elements=scaled))
     dW = draw(hnp.arrays(np.float64, (batch, m), elements=st.floats(-3.0, 3.0) | values))
     h = draw(st.floats(min_value=0.0, max_value=2.0))
+    # a numpy scalar h takes part in dtype promotion like any operand
+    h = draw(st.sampled_from([float, np.float64, np.float32, np.longdouble]))(h)
     return name, problem, x, dW, h
 
 
@@ -300,9 +302,8 @@ def test_step_matches_the_out_of_place_formula_bitwise(inputs):
             want = _reference_step(problem, x, dW, h, kind.taming, kind.is_milstein)
             got = step_function(kind)(problem, x, dW, h)
             assert got.shape == want.shape and got.dtype == want.dtype, (name, kind.value)
-            # numpy picks the sign and payload of a NaN from two NaN operands by
-            # loop variant (in place or not, vector body or tail), which IEEE 754
-            # leaves open; _propagate replaces every non-finite row with one NaN
+            # IEEE 754 leaves the sign and payload of a NaN from two NaN operands
+            # open; _propagate replaces every non-finite row with one NaN
             nan = np.isnan(got)
             assert np.array_equal(nan, np.isnan(want)), (name, kind.value)
             assert np.array_equal(_bits(got[~nan]), _bits(want[~nan])), (name, kind.value)
