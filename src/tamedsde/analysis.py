@@ -4,6 +4,9 @@ Strong-error studies couple every study run to a proxy-exact reference: the
 same Brownian path is generated once on a fine grid, the reference scheme
 (semi-tamed Milstein by default) integrates it there, and each study
 stepsize integrates the block-summed coarse view of the identical path.
+That view is built one time-major tile of the coarse grid at a time, and
+every study run carries on from tile to tile, so a chunk never holds more
+than one coarse tile beside its fine block.
 The root-mean-square terminal gap over paths is then fitted to a power law
 ``e(h) = C h^r`` in log-log space. Every driver here refuses a Milstein
 scheme, as study or reference, on noise not known to commute.
@@ -12,7 +15,9 @@ Sample paths are processed in fixed-size chunks (``CHUNK_PATHS`` paths per
 chunk) whose boundaries depend only on the path index, and chunk results
 are reduced in chunk order. Worker threads only distribute chunks, so
 results are bit-identical for any thread count, including 1; no more
-threads run than there are chunks or available cores.
+threads run than there are chunks or available cores. A chunk draws its
+increments concurrently with the others and then does all of its stepping
+under one lock.
 
 Stability analysis has two sides. The closed-form side computes the
 stepsize threshold ``h*`` and the exponential decay rate ``gamma_h`` of
@@ -45,7 +50,13 @@ from .paths import (
     _scale_increments,
     _stream_keys,
 )
-from .schemes import SchemeKind, _propagate, require_supported, step_function
+from .schemes import (
+    SchemeKind,
+    _propagate,
+    _tile_steps,
+    require_supported,
+    step_function,
+)
 
 __all__ = [
     "CHUNK_PATHS",
@@ -71,13 +82,15 @@ __all__ = [
 # identical no matter how many workers run.
 CHUNK_PATHS = 512
 
-# Held while a chunk steps. A step is a few dozen small numpy operations,
-# each of which drops and retakes the interpreter lock; two chunks stepping
-# at once hand that lock back and forth on every operation (about 3e5
-# context switches and twice the CPU time of one worker per full-width
-# study, varying with the host's load). Drawing increments runs mostly
-# outside the interpreter lock and still overlaps with another chunk's
-# stepping.
+# Taken once per chunk, after its increments are drawn, for all of the
+# chunk's stepping and reduction. A step is a few dozen small numpy
+# operations, each of which drops and retakes the interpreter lock; two
+# chunks stepping at once hand that lock back and forth on every operation
+# (about 3e5 context switches and twice the CPU time of one worker per
+# full-width study, varying with the host's load), and a lock taken per tile
+# or per run still invites a switch at every release. Drawing increments runs
+# mostly outside the interpreter lock and still overlaps with another
+# chunk's stepping.
 _STEP_LOCK = threading.Lock()
 
 
@@ -152,8 +165,9 @@ def _run_chunks(worker: Callable, paths: int, threads: int) -> list:
     """Run ``worker`` over every chunk, returning results in chunk order.
 
     At most one worker per chunk and per available core. Workers draw their
-    increments concurrently and take turns stepping (``_STEP_LOCK``), so a
-    thread beyond the cores only costs its start-up.
+    increments concurrently, then each holds ``_STEP_LOCK`` for the rest of
+    its chunk, so chunks step one after another and a thread beyond the
+    cores only costs its start-up.
     """
     ranges = _chunk_ranges(paths)
     workers = min(threads, len(ranges), _available_cores())
@@ -169,12 +183,13 @@ def _batch_endpoints(
     increments: np.ndarray,
     h: float,
     observe: Optional[Callable] = None,
+    start: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Integrate a (batch, steps, m) block; return terminal states and a
     blow-up mask. Blown paths are frozen to the NaN sentinel; ``observe``
-    is passed on to :func:`schemes._propagate`. One chunk steps at a time."""
-    with _STEP_LOCK:
-        return _propagate(problem, step_function(scheme), increments, h, observe)
+    and ``start`` (a returned pair to continue from) are passed on to
+    :func:`schemes._propagate`."""
+    return _propagate(problem, step_function(scheme), increments, h, observe, start)
 
 
 def _batch_grid_moments(
@@ -297,17 +312,25 @@ def strong_error_table(
 
     def worker(lo: int, hi: int):
         inc = _stack_increments(seed, lo, hi, reference_steps, m, problem.horizon)
-        ref_final, _ = _batch_endpoints(problem, ref_kind, inc, h_ref)
         sq_err = np.empty((hi - lo, n_s, n_h))
+        tile = _tile_steps(inc)
         # a blown path ends at the NaN sentinel, so its squared gap is NaN;
         # surviving endpoints can be finite yet so large that their squared
         # gap overflows to +inf, which is honest data, not a warning condition
-        with np.errstate(over="ignore", invalid="ignore"):
+        with _STEP_LOCK, np.errstate(over="ignore", invalid="ignore"):
+            ref_final, _ = _batch_endpoints(problem, ref_kind, inc, h_ref)
             for ih, steps in enumerate(steps_list):
-                coarse = _coarsen_increments(inc, reference_steps // steps)
+                factor = reference_steps // steps
                 h = problem.horizon / steps
-                for ks, kind in enumerate(scheme_kinds):
-                    final, _ = _batch_endpoints(problem, kind, coarse, h)
+                ends = [None] * n_s
+                # coarsen one time-major tile of this grid at a time and carry
+                # every run on over it, so no whole coarse block is ever held
+                for first in range(0, reference_steps, factor * tile):
+                    fine = inc[:, first : first + factor * tile]
+                    coarse = _coarsen_increments(fine, factor)
+                    for ks, kind in enumerate(scheme_kinds):
+                        ends[ks] = _batch_endpoints(problem, kind, coarse, h, start=ends[ks])
+                for ks, (final, _) in enumerate(ends):
                     gap = final - ref_final
                     sq_err[:, ks, ih] = np.sum(gap * gap, axis=1)
         return sq_err
@@ -402,7 +425,8 @@ def mean_square_curve(
 
     def worker(lo: int, hi: int):
         inc = _stack_increments(seed, lo, hi, steps, m, problem.horizon)
-        return _batch_grid_moments(problem, kind, inc, stepsize)
+        with _STEP_LOCK:
+            return _batch_grid_moments(problem, kind, inc, stepsize)
 
     parts = _run_chunks(worker, paths, threads)
     s2 = np.sum([p[0] for p in parts], axis=0)

@@ -20,7 +20,8 @@ randomness):
     part untamed.
 
 ``tame(v, h) = v / (1 + h ||v||)`` caps the magnitude of a tamed drift
-contribution ``tame(v, h) * h`` strictly below one regardless of ``v``.
+contribution ``tame(v, h) * h`` at one regardless of ``v``: below one in
+exact arithmetic, and exactly one after rounding once ``h ||v|| >= 2**53``.
 
 The Milstein correction uses the symmetric product form
 
@@ -100,27 +101,42 @@ class SchemeKind(enum.Enum):
 def tame(v: np.ndarray, h: float) -> np.ndarray:
     """Damp a drift vector: ``v / (1 + h ||v||)`` (Euclidean norm).
 
-    Monotone in ``||v||`` and bounded: ``||tame(v, h)|| <= min(||v||, 1/h)``
-    with strict inequality for ``v != 0, h > 0``, so the per-step tamed
-    contribution ``tame(v, h) * h`` always has norm below one.
+    Monotone in ``||v||`` and bounded: ``||tame(v, h)|| <= min(||v||, 1/h)``.
+    In exact arithmetic the inequality is strict for ``v != 0, h > 0``; in
+    floats ``1 + h ||v||`` rounds to ``h ||v||`` once that reaches ``2**53``,
+    and the norm is then ``1/h`` up to the rounding of the division. So the
+    per-step tamed contribution ``tame(v, h) * h`` has norm at most one. A
+    norm whose square overflows is still finite while ``h ||v||`` is.
     """
     if h < 0:
         raise ValueError(f"h must be nonnegative, got {h}")
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim == 0:
-        return v / (1.0 + h * np.abs(v))
-    return _tame(v, h)
+    with np.errstate(over="ignore"):  # a sum of squares past the float range
+        return _tame(np.asarray(v, dtype=np.float64), h)
 
 
 def _tame(v: np.ndarray, h: float) -> np.ndarray:
-    """``tame`` for a float64 ``(..., d)`` array and ``h >= 0``, unchecked.
+    """``tame`` for a float64 scalar or ``(..., d)`` array and ``h >= 0``,
+    unchecked.
 
-    ``np.add.reduce`` is the summation ``np.sum`` runs, minus its wrapper.
+    One entry's norm is its magnitude, which is ``sqrt(v * v)`` bitwise
+    wherever the square neither overflows nor turns subnormal. Rows whose
+    finite entries square past the float range are divided by their largest
+    magnitude before squaring; every other row takes ``sqrt`` of its sum of
+    squares. ``np.add.reduce`` is the summation ``np.sum`` runs, minus its
+    wrapper.
     """
-    sq = v * v
-    if sq.shape[-1] > 1:  # a sum of one term is that term
-        sq = np.add.reduce(sq, axis=-1, keepdims=True)
-    return v / (1.0 + h * np.sqrt(sq))
+    if v.ndim == 0 or v.shape[-1] == 1:
+        return v / (1.0 + h * np.abs(v))
+    sq = np.add.reduce(v * v, axis=-1, keepdims=True)
+    if not math.isfinite(np.add.reduce(sq, axis=None)):
+        # a scale of one leaves every other row's squares and sum as they were
+        big = np.isinf(sq) & np.isfinite(v).all(axis=-1, keepdims=True)
+        scale = np.where(big, np.abs(v).max(axis=-1, keepdims=True), 1.0)
+        unit = v / scale
+        norm = scale * np.sqrt(np.add.reduce(unit * unit, axis=-1, keepdims=True))
+    else:
+        norm = np.sqrt(sq)
+    return v / (1.0 + h * norm)
 
 
 def _diffusion_term(problem: SdeProblem, x: np.ndarray, dW: np.ndarray) -> np.ndarray:
@@ -288,6 +304,12 @@ def integrate(
     return Trajectory(times=times, states=states, blew_up=bool(blown[0]), step=h)
 
 
+def _tile_steps(increments):
+    """Steps of a (batch, steps, m) block that fit one time-major tile."""
+    batch, _, m = increments.shape
+    return max(1, _TILE_BYTES // max(1, batch * m * increments.itemsize))
+
+
 def _time_major(increments):
     """Yield the (batch, m) increments of each step of a (batch, steps, m) block.
 
@@ -299,7 +321,7 @@ def _time_major(increments):
     all of them to one cache set.
     """
     batch, steps, m = increments.shape
-    tile = max(1, _TILE_BYTES // max(1, batch * m * increments.itemsize))
+    tile = _tile_steps(increments)
     for start in range(0, steps, tile):
         part = increments[:, start : start + tile]
         buf = np.empty((part.shape[1], batch, m), dtype=increments.dtype)
@@ -308,21 +330,29 @@ def _time_major(increments):
         yield from buf
 
 
-def _propagate(problem, step, increments, h, observe=None):
-    """Integrate a (batch, steps, m) increment block from the initial value.
+def _propagate(problem, step, increments, h, observe=None, start=None):
+    """Integrate a (batch, steps, m) increment block.
 
-    A path whose state turns non-finite is frozen to the NaN sentinel and
-    stays blown up; stepping stops once no path is alive. ``observe(n, x,
-    alive)`` sees the states at every gridpoint ``n`` reached. Returns the
+    The batch starts from the initial value, or continues from ``start``,
+    the ``(states, blown)`` pair an earlier call returned. A path whose state
+    turns non-finite is frozen to the NaN sentinel and stays blown up;
+    stepping stops once no path is alive, and a batch that starts with none
+    takes no step. ``observe(n, x, alive)`` sees the states at every
+    gridpoint ``n`` reached, counted from the block's first. Returns the
     terminal states and the blow-up mask.
     """
-    batch = increments.shape[0]
-    x = np.tile(problem.initial_value, (batch, 1))
-    alive = np.ones(batch, dtype=bool)
+    if start is None:
+        batch = increments.shape[0]
+        x = np.tile(problem.initial_value, (batch, 1))
+        alive = np.ones(batch, dtype=bool)
+    else:
+        x, blown = start
+        alive = ~blown
     with np.errstate(over="ignore", invalid="ignore"):
         if observe is not None:
             observe(0, x, alive)
-        for n, dW in enumerate(_time_major(increments), 1):
+        steps = _time_major(increments) if alive.any() else ()
+        for n, dW in enumerate(steps, 1):
             x = step(problem, x, dW, h)
             # one reduction on the common path: the sum of the entries is
             # finite only if every entry is; a sum that overflows from finite

@@ -8,6 +8,7 @@ import os
 import sys
 import threading
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +21,7 @@ from tamedsde import (
     SchemeKind,
     SdeProblem,
     StabilityParams,
+    builtin_problem,
     check_dissipativity,
     decay_rate,
     fit_power_law,
@@ -28,8 +30,9 @@ from tamedsde import (
     stability_threshold,
     strong_error_table,
 )
-from tamedsde import analysis
+from tamedsde import analysis, schemes
 from tamedsde.analysis import CHUNK_PATHS
+from tamedsde.paths import _coarsen_increments
 
 from conftest import SEED, make_diagonal_2d
 
@@ -206,9 +209,11 @@ def test_blown_paths_are_excluded(unstable_long):
     assert report.rms_errors[0] > 0
 
 
-def test_all_paths_blown_raises():
-    # Deterministic cascade: zero diffusion, pure quintic, large start.
-    doomed = SdeProblem(
+def _doomed():
+    """Deterministic cascade: zero diffusion, pure quintic, large start.
+    Untamed Euler overflows on every path within a few steps of h <= 1/2;
+    the tamed schemes do not."""
+    return SdeProblem(
         dim_state=1,
         dim_noise=1,
         phi=lambda x: 0.0 * x,
@@ -219,10 +224,208 @@ def test_all_paths_blown_raises():
         horizon=4.0,
         label="doomed",
     )
+
+
+def test_all_paths_blown_raises():
     with pytest.raises(EvaluationError, match="every path blew up"):
         _study(
-            doomed, "em", stepsizes=[0.5], paths=4, seed=SEED, reference_steps=64
+            _doomed(), "em", stepsizes=[0.5], paths=4, seed=SEED, reference_steps=64
         )
+
+
+def _whole_block_errors(problem, kinds, ref_kind, steps_list, reference_steps, inc):
+    """One chunk's squared terminal gaps, each study grid coarsened from the
+    whole fine block at once and integrated in one pass."""
+    step = schemes.step_function
+    h_ref = problem.horizon / reference_steps
+    ref_final, _ = schemes._propagate(problem, step(ref_kind), inc, h_ref)
+    sq_err = np.empty((inc.shape[0], len(kinds), len(steps_list)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for ih, steps in enumerate(steps_list):
+            coarse = _coarsen_increments(inc, reference_steps // steps)
+            for ks, kind in enumerate(kinds):
+                final, _ = schemes._propagate(problem, step(kind), coarse, problem.horizon / steps)
+                gap = final - ref_final
+                sq_err[:, ks, ih] = np.sum(gap * gap, axis=1)
+    return sq_err
+
+
+_TILE_CASES = {
+    # name: (problem, schemes, stepsizes, reference steps)
+    "two-schemes": (
+        lambda: builtin_problem("ginzburg-landau-unstable"),
+        ["semi-tamed-milstein", "semi-tamed-euler"],
+        [1.0, 2.0**-2, 2.0**-5],
+        64,
+    ),
+    "diagonal-2d": (
+        make_diagonal_2d,
+        ["tamed-milstein", "semi-tamed-milstein", "em"],
+        [1.0, 2.0**-3],
+        32,
+    ),
+    "em-excluded": (
+        lambda: builtin_problem("ginzburg-landau-unstable", horizon=2.0),
+        ["em", "semi-tamed-euler"],
+        [2.0, 2.0**-1, 2.0**-2],
+        32,
+    ),
+    "em-all-dead": (_doomed, ["em", "tamed-euler"], [0.5, 2.0**-3], 64),
+}
+
+
+@pytest.mark.parametrize("tile_bytes", [1, 3 * CHUNK_PATHS * 16, None])
+@pytest.mark.parametrize("case", sorted(_TILE_CASES))
+def test_tile_pass_matches_the_whole_block_loop(monkeypatch, case, tile_bytes):
+    """Coarsening one tile at a time gives every chunk's squared gaps bitwise
+    and takes the same steps per scheme as coarsening the whole block, also
+    with tiles of one step or of a step count that divides no grid, a
+    stepsize equal to the horizon, a short last chunk, two noises, and runs
+    whose paths die, some or all of them, before the last tile."""
+    make_problem, names, hs, reference_steps = _TILE_CASES[case]
+    problem = make_problem()
+    kinds = [SchemeKind(name) for name in names]
+    ref_kind = SchemeKind.SEMI_TAMED_MILSTEIN
+    paths = 3 * CHUNK_PATHS - 100
+    steps_list = [int(round(problem.horizon / h)) for h in hs]
+    calls = {"whole": {}, "tiles": {}}
+
+    def counted(step_function, tally):
+        def make(scheme):
+            step, key = step_function(scheme), SchemeKind.from_name(scheme)
+
+            def counted_step(*args):
+                tally[key] = tally.get(key, 0) + 1
+                return step(*args)
+
+            return counted_step
+
+        return make
+
+    monkeypatch.setattr(schemes, "step_function", counted(schemes.step_function, calls["whole"]))
+    ranges = analysis._chunk_ranges(paths)
+    expected = [
+        _whole_block_errors(
+            problem, kinds, ref_kind, steps_list, reference_steps,
+            analysis._stack_increments(SEED, lo, hi, reference_steps, problem.dim_noise,
+                                       problem.horizon),
+        )
+        for lo, hi in ranges
+    ]
+    monkeypatch.undo()
+
+    parts = []
+    real_run_chunks = analysis._run_chunks
+
+    def run_chunks(worker, paths, threads):
+        parts.extend(real_run_chunks(worker, paths, threads))
+        return parts
+
+    monkeypatch.setattr(analysis, "_run_chunks", run_chunks)
+    monkeypatch.setattr(analysis, "step_function", counted(analysis.step_function, calls["tiles"]))
+    if tile_bytes is not None:
+        monkeypatch.setattr(schemes, "_TILE_BYTES", tile_bytes)
+    try:
+        strong_error_table(problem, names, hs, paths=paths, seed=SEED,
+                           reference_steps=reference_steps)
+    except EvaluationError:
+        assert case == "em-all-dead"  # raised after every chunk has run
+
+    assert len(parts) == len(expected) == len(ranges)
+    for got, want in zip(parts, expected):
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+    assert calls["tiles"] == calls["whole"]
+    dead = [np.isnan(np.concatenate(expected)[:, ks]).any() for ks in range(len(kinds))]
+    if case == "em-excluded":
+        assert dead[0] and not np.isnan(np.concatenate(expected)[:, 0]).all()
+    if case == "em-all-dead":
+        assert np.isnan(np.concatenate(expected)[:, 0]).all() and not dead[1]
+        # em runs stop stepping once every path is dead, tiles left or not
+        assert calls["tiles"][SchemeKind.EULER_MARUYAMA] < len(ranges) * sum(steps_list)
+
+
+def test_study_holds_no_coarse_block(unstable):
+    """A chunk holds its fine block and at most a tile-sized coarse slice:
+    coarsening the whole 16 MiB block for h = 2^-11 would add 8 MiB."""
+    paths, reference_steps = CHUNK_PATHS, 2**12
+    block = paths * reference_steps * 8
+    tracemalloc.start()
+    try:
+        _study(unstable, "semi-tamed-euler", [2.0**-1, 2.0**-6, 2.0**-11], paths=paths,
+               seed=SEED, reference_steps=reference_steps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert block < peak < block + 4 * 2**20
+
+
+class _RecordingLock:
+    """A lock that knows which thread holds it."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.holder = None
+
+    def __enter__(self):
+        self._lock.acquire()
+        self.holder = threading.get_ident()
+        return self
+
+    def __exit__(self, *exc):
+        self.holder = None
+        self._lock.release()
+
+
+@pytest.mark.parametrize("driver", ["strong-error-table", "mean-square-curve"])
+def test_each_chunk_steps_under_one_lock_after_its_draws(unstable, monkeypatch, driver):
+    """At two workers a chunk draws without the step lock, then holds it
+    for all of its steps, so the steps of one chunk are never interleaved
+    with another's."""
+    lock = _RecordingLock()
+    local = threading.local()
+    steps, draws = [], []
+    real_stack, real_draw = analysis._stack_increments, analysis._draw_increments
+    real_step_function = analysis.step_function
+
+    def stack(seed, lo, hi, *args):
+        local.chunk = lo
+        return real_stack(seed, lo, hi, *args)
+
+    def draw(*args):
+        draws.append(lock.holder == threading.get_ident())
+        return real_draw(*args)
+
+    def step_function(scheme):
+        step = real_step_function(scheme)
+
+        def recorded(*args):
+            steps.append((local.chunk, lock.holder == threading.get_ident()))
+            return step(*args)
+
+        return recorded
+
+    monkeypatch.setattr(analysis, "_STEP_LOCK", lock)
+    monkeypatch.setattr(analysis, "_available_cores", lambda: 2)
+    monkeypatch.setattr(analysis, "_stack_increments", stack)
+    monkeypatch.setattr(analysis, "_draw_increments", draw)
+    monkeypatch.setattr(analysis, "step_function", step_function)
+    paths = 4 * CHUNK_PATHS
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        if driver == "strong-error-table":
+            strong_error_table(unstable, ["semi-tamed-euler", "em"], [2.0**-2, 2.0**-4],
+                               paths=paths, seed=SEED, reference_steps=32, threads=2)
+        else:
+            mean_square_curve(unstable, "em", 2.0**-4, paths=paths, seed=SEED, threads=2)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(draws) == paths and not any(draws)
+    assert all(held for _, held in steps)
+    runs = [chunk for i, (chunk, _) in enumerate(steps) if i == 0 or steps[i - 1][0] != chunk]
+    assert sorted(runs) == [lo for lo, _ in analysis._chunk_ranges(paths)]
 
 
 def test_stepsize_must_divide_horizon(unstable):

@@ -104,22 +104,75 @@ def _bits(a):
     return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
 
 
+def _tame_formula(v, h):
+    """``v / (1 + h ||v||)`` with the norm of one entry its magnitude, and of
+    more the root of the sum of squares, taken over ``v / max|v|`` and scaled
+    back in a row of finite entries whose sum of squares overflows."""
+    if v.ndim == 0 or v.shape[-1] == 1:
+        norm = np.abs(v)
+    else:
+        norm = np.sqrt(np.sum(v * v, axis=-1, keepdims=True))
+        scale = np.abs(v).max(axis=-1, keepdims=True)
+        rescaled = scale * np.sqrt(np.sum((v / scale) ** 2, axis=-1, keepdims=True))
+        norm = np.where(np.isinf(norm) & np.isfinite(scale), rescaled, norm)
+    return v / (1.0 + h * norm)
+
+
 def test_private_tame_matches_tame_bitwise():
     rng = np.random.default_rng(SEED)
     for d in (1, 2, 5):
+        overflow = np.full((4, d), 1e200) * rng.choice([-1.0, 1.0], size=(4, d))
+        overflow[1, 1:] = 0.0  # one overflowing entry among zeros
         batches = [
             rng.standard_normal((64, d)) * 10.0 ** rng.integers(-3, 4, size=(64, 1)),
             np.zeros((3, d)),
-            np.full((4, d), 1e200) * rng.choice([-1.0, 1.0], size=(4, d)),  # v*v overflows
+            overflow,  # v*v overflows
+            # rows that overflow beside rows that do not, and non-finite rows
+            np.vstack([overflow, np.ones((2, d)), np.full((1, d), np.inf),
+                       np.full((1, d), np.nan), np.full((1, d), 1e-170)]),
         ]
         for v in batches:
             for h in (0.0, 1e-3, 0.5, 10.0):
-                with np.errstate(over="ignore", invalid="ignore"):
+                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                     fast, checked = schemes._tame(v, h), tame(v, h)
-                    norm = np.sqrt(np.sum(v * v, axis=-1, keepdims=True))
-                    expected = v / (1.0 + h * norm)
+                    expected = _tame_formula(v, h)
                 assert np.array_equal(_bits(fast), _bits(expected)), (d, h)
                 assert np.array_equal(_bits(checked), _bits(expected)), (d, h)
+        # finite rows whose squares overflow warn about nothing and stay finite
+        out = tame(overflow, 0.5)
+        assert np.isfinite(out).all() and (np.linalg.norm(out, axis=-1) > 1.99).all()
+
+
+def test_tame_of_an_overflowing_square_is_near_one_over_h():
+    assert np.array_equal(tame(np.array([1e155]), 0.1), [10.0])
+    assert tame(np.float64(1e155), 0.1) == 10.0
+    # once h |v| >= 2**53 the sum 1 + h |v| rounds to h |v|: exactly 1/h
+    assert tame(np.array([2.0**53]), 1.0)[0] == 1.0
+    assert tame(np.array([2.0**53 - 1]), 1.0)[0] < 1.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    a=st.floats(min_value=0.0, max_value=1e300),
+    b=st.floats(min_value=0.0, max_value=1e300),
+    h=st.floats(min_value=1e-6, max_value=10.0),
+    sign=st.sampled_from([-1.0, 1.0]),
+    d=st.integers(min_value=1, max_value=4),
+)
+def test_tame_norm_is_monotone_and_paths_agree(a, b, h, sign, d):
+    """``||tame(v, h)||`` does not fall as ``||v||`` grows, up to the two
+    roundings of ``||v|| / (1 + h ||v||)``; the scalar and vector paths agree
+    bitwise, and a vector along one axis gives the scalar's entry."""
+    lo, hi = sorted((a, b))
+    scalar_lo, scalar_hi = tame(np.float64(sign * lo), h), tame(np.float64(sign * hi), h)
+    assert np.array_equal(_bits(tame(np.array([sign * hi]), h)), _bits(scalar_hi))
+    assert abs(scalar_hi) >= abs(scalar_lo) * (1.0 - 4 * np.finfo(float).eps)
+    axis = np.zeros(d)
+    axis[-1] = sign * hi
+    assert np.array_equal(_bits(tame(axis, h)[-1]), _bits(scalar_hi))
+    spread = np.full(d, hi / d)
+    assert np.isfinite(tame(spread, h)).all()
+    assert np.linalg.norm(tame(spread, h)) * h <= 1.0 + 1e-12
 
 
 def test_tamed_steps_keep_the_h_check(unstable):
@@ -196,10 +249,7 @@ def _reference_step(problem, x, dW, h, taming, milstein):
     dW = np.asarray(dW, dtype=np.float64)
 
     def tamed(v):
-        sq = v * v
-        if sq.shape[-1] > 1:
-            sq = np.add.reduce(sq, axis=-1, keepdims=True)
-        return v / (1.0 + h * np.sqrt(sq))
+        return _tame_formula(v, h)
 
     if taming == "varphi":
         x_next = x + problem.phi(x) * h + tamed(problem.varphi(x)) * h
@@ -609,6 +659,30 @@ def test_propagate_tiles_match_naive_loop(monkeypatch, make_problem):
                     assert blown[[1, BATCH - 2]].all(), where
                 if label == "all-dead":
                     assert blown.all() and len(seen) <= 3 < steps + 1, where
+
+
+def test_continued_batch_matches_one_pass_and_a_dead_one_takes_no_step(unstable_long):
+    """A block integrated in two pieces, the second continued from the
+    first's (states, blown) pair, ends where one pass over it does; a batch
+    continued with no live path returns its states without a step."""
+    step = step_function("em")
+    inc = analysis._stack_increments(SEED, 0, 64, 8, 1, unstable_long.horizon)
+    whole_final, whole_blown = schemes._propagate(unstable_long, step, inc, 0.25)
+    assert 0 < whole_blown.sum() < 64
+    head = schemes._propagate(unstable_long, step, inc[:, :3], 0.25)
+    final, blown = schemes._propagate(unstable_long, step, inc[:, 3:], 0.25, start=head)
+    assert np.array_equal(blown, whole_blown)
+    assert np.array_equal(_bits(final), _bits(whole_final))
+
+    calls = []
+
+    def counted(problem, x, dW, h):
+        calls.append(h)
+        return step(problem, x, dW, h)
+
+    dead = (np.full((64, 1), np.nan), np.ones(64, dtype=bool))
+    final, blown = schemes._propagate(unstable_long, counted, inc, 0.25, start=dead)
+    assert calls == [] and blown.all() and np.isnan(final).all()
 
 
 def _propagate_one_step(rows):
