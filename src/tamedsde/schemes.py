@@ -106,12 +106,12 @@ def tame(v: np.ndarray, h: float) -> np.ndarray:
     floats ``1 + h ||v||`` rounds to ``h ||v||`` once that reaches ``2**53``,
     and the norm is then ``1/h`` up to the rounding of the division. So the
     per-step tamed contribution ``tame(v, h) * h`` has norm at most one. A
-    norm whose square overflows is still finite while ``h ||v||`` is.
+    norm whose square overflows still gives a finite result; only an
+    ``h ||v||`` past the float range overflows, with numpy's warning.
     """
     if h < 0:
         raise ValueError(f"h must be nonnegative, got {h}")
-    with np.errstate(over="ignore"):  # a sum of squares past the float range
-        return _tame(np.asarray(v, dtype=np.float64), h)
+    return _tame(np.asarray(v, dtype=np.float64), h)
 
 
 def _tame(v: np.ndarray, h: float) -> np.ndarray:
@@ -127,8 +127,10 @@ def _tame(v: np.ndarray, h: float) -> np.ndarray:
     """
     if v.ndim == 0 or v.shape[-1] == 1:
         return v / (1.0 + h * np.abs(v))
-    sq = np.add.reduce(v * v, axis=-1, keepdims=True)
-    if not math.isfinite(np.add.reduce(sq, axis=None)):
+    with np.errstate(over="ignore"):  # rows whose squares overflow are rescaled
+        sq = np.add.reduce(v * v, axis=-1, keepdims=True)
+        overflow = not math.isfinite(np.add.reduce(sq, axis=None))
+    if overflow:
         # a scale of one leaves every other row's squares and sum as they were
         big = np.isinf(sq) & np.isfinite(v).all(axis=-1, keepdims=True)
         scale = np.where(big, np.abs(v).max(axis=-1, keepdims=True), 1.0)
