@@ -6,7 +6,7 @@ same Brownian path is generated once on a fine grid, the reference scheme
 stepsize integrates the block-summed coarse view of the identical path.
 That view is built one time-major tile of the coarse grid at a time, and
 every study run carries on from tile to tile, so a chunk never holds more
-than one coarse tile beside its fine block.
+than one coarse tile (and its time-major copy) beside its fine block.
 The root-mean-square terminal gap over paths is then fitted to a power law
 ``e(h) = C h^r`` in log-log space. Every driver here refuses a Milstein
 scheme, as study or reference, on noise not known to commute.
@@ -52,6 +52,7 @@ from .paths import (
 )
 from .schemes import (
     SchemeKind,
+    _copy_time_major,
     _propagate,
     _tile_steps,
     require_supported,
@@ -319,6 +320,11 @@ def strong_error_table(
         # gap overflows to +inf, which is honest data, not a warning condition
         with _STEP_LOCK, np.errstate(over="ignore", invalid="ignore"):
             ref_final, _ = _batch_endpoints(problem, ref_kind, inc, h_ref)
+            # one coarse tile and its time-major copy, reused for every tile
+            # of every grid and stepped by every study scheme: allocating them
+            # per tile has the heap trimmed and faulted back in each time
+            coarse_buf = np.empty((hi - lo) * tile * m)
+            timed_buf = np.empty_like(coarse_buf)
             for ih, steps in enumerate(steps_list):
                 factor = reference_steps // steps
                 h = problem.horizon / steps
@@ -327,9 +333,18 @@ def strong_error_table(
                 # every run on over it, so no whole coarse block is ever held
                 for first in range(0, reference_steps, factor * tile):
                     fine = inc[:, first : first + factor * tile]
-                    coarse = _coarsen_increments(fine, factor)
+                    shape = (hi - lo, fine.shape[1] // factor, m)
+                    size = math.prod(shape)
+                    coarse = _coarsen_increments(
+                        fine, factor, out=coarse_buf[:size].reshape(shape)
+                    )
+                    timed = _copy_time_major(
+                        coarse, timed_buf[:size].reshape(shape[1], shape[0], m)
+                    )
+                    # a (batch, steps, m) view that _propagate walks in place
+                    block = timed.swapaxes(0, 1)
                     for ks, kind in enumerate(scheme_kinds):
-                        ends[ks] = _batch_endpoints(problem, kind, coarse, h, start=ends[ks])
+                        ends[ks] = _batch_endpoints(problem, kind, block, h, start=ends[ks])
                 for ks, (final, _) in enumerate(ends):
                     gap = final - ref_final
                     sq_err[:, ks, ih] = np.sum(gap * gap, axis=1)

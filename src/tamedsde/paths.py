@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -177,10 +178,13 @@ def generate_paths(
     )
 
 
-def _coarsen_increments(increments: np.ndarray, factor: int) -> np.ndarray:
-    """Sum blocks of ``factor`` consecutive steps of a (..., steps, m) array."""
+def _coarsen_increments(
+    increments: np.ndarray, factor: int, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Sum blocks of ``factor`` consecutive steps of a (..., steps, m) array,
+    into ``out`` if given."""
     *lead, steps, m = increments.shape
-    return increments.reshape(*lead, steps // factor, factor, m).sum(axis=-2)
+    return increments.reshape(*lead, steps // factor, factor, m).sum(axis=-2, out=out)
 
 
 def coarsen(bundle: PathBundle, factor: int) -> PathBundle:

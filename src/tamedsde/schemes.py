@@ -312,24 +312,38 @@ def _tile_steps(increments):
     return max(1, _TILE_BYTES // max(1, batch * m * increments.itemsize))
 
 
+def _copy_time_major(part, out):
+    """Copy a (batch, steps, m) block into the (steps, batch, m) ``out``.
+
+    The copy runs ``_COPY_PATHS`` paths at a time: path rows sit a power of
+    two apart on the usual grids, and a copy over every path at once would
+    map all of them to one cache set.
+    """
+    for lo in range(0, part.shape[0], _COPY_PATHS):
+        out[:, lo : lo + _COPY_PATHS] = part[lo : lo + _COPY_PATHS].swapaxes(0, 1)
+    return out
+
+
 def _time_major(increments):
     """Yield the (batch, m) increments of each step of a (batch, steps, m) block.
 
-    The block is copied one tile of steps at a time into a contiguous
-    (tile, batch, m) buffer of at most ``_TILE_BYTES``, so each step reads
-    adjacent memory instead of one entry per path ``steps * m`` apart. The
-    copy runs ``_COPY_PATHS`` paths at a time: path rows sit a power of two
-    apart on the usual grids, and a copy over every path at once would map
-    all of them to one cache set.
+    A block that is a view of a contiguous (steps, batch, m) array is walked
+    in place. Any other is copied one tile of steps at a time into one
+    contiguous (tile, batch, m) buffer of at most ``_TILE_BYTES``, so each
+    step reads adjacent memory instead of one entry per path ``steps * m``
+    apart. The buffer is refilled for every tile, so a yielded row holds its
+    step's increments only until the next one is taken.
     """
+    by_step = increments.swapaxes(0, 1)
+    if by_step.flags.c_contiguous:
+        yield from by_step
+        return
     batch, steps, m = increments.shape
     tile = _tile_steps(increments)
+    buf = np.empty((min(tile, steps), batch, m), dtype=increments.dtype)
     for start in range(0, steps, tile):
         part = increments[:, start : start + tile]
-        buf = np.empty((part.shape[1], batch, m), dtype=increments.dtype)
-        for lo in range(0, batch, _COPY_PATHS):
-            buf[:, lo : lo + _COPY_PATHS] = part[lo : lo + _COPY_PATHS].swapaxes(0, 1)
-        yield from buf
+        yield from _copy_time_major(part, buf[: part.shape[1]])
 
 
 def _propagate(problem, step, increments, h, observe=None, start=None):

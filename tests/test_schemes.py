@@ -640,6 +640,8 @@ def test_propagate_tiles_match_naive_loop(monkeypatch, make_problem):
             dead = base.copy()
             dead[:, 0, :] = 1e300  # every path dies at step 2: the last steps never run
             blocks["all-dead"] = dead
+        # a view of a time-major array, walked without a copy
+        blocks["time-major"] = np.ascontiguousarray(base.swapaxes(0, 1)).swapaxes(0, 1)
         h = problem.horizon / steps
         for label, inc in blocks.items():
             for kind in SchemeKind:
@@ -659,6 +661,22 @@ def test_propagate_tiles_match_naive_loop(monkeypatch, make_problem):
                     assert blown[[1, BATCH - 2]].all(), where
                 if label == "all-dead":
                     assert blown.all() and len(seen) <= 3 < steps + 1, where
+
+
+def test_time_major_walks_a_time_major_view_in_place_and_reuses_one_tile(monkeypatch):
+    """A view of a contiguous (steps, batch, m) array yields its own rows; a
+    batch-major block is copied tile by tile into one buffer."""
+    monkeypatch.setattr(schemes, "_TILE_BYTES", TILE * BATCH * 8)
+    base = analysis._stack_increments(SEED, 0, BATCH, 2 * TILE + 3, 1, 1.0)
+    timed = np.ascontiguousarray(base.swapaxes(0, 1))
+    rows = list(schemes._time_major(timed.swapaxes(0, 1)))
+    assert all(np.shares_memory(row, timed) for row in rows)
+    assert np.array_equal(_bits(np.stack(rows)), _bits(timed))
+
+    rows = list(schemes._time_major(base))
+    copies = [row.copy() for row in schemes._time_major(base)]
+    assert np.array_equal(_bits(np.stack(copies)), _bits(timed))
+    assert np.shares_memory(rows[0], rows[TILE]) and np.shares_memory(rows[0], rows[2 * TILE])
 
 
 def test_continued_batch_matches_one_pass_and_a_dead_one_takes_no_step(unstable_long):
