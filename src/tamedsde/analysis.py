@@ -4,9 +4,9 @@ Strong-error studies couple every study run to a proxy-exact reference: the
 same Brownian path is generated once on a fine grid, the reference scheme
 (semi-tamed Milstein by default) integrates it there, and each study
 stepsize integrates the block-summed coarse view of the identical path.
-That view is built one time-major tile of the coarse grid at a time, and
-every study run carries on from tile to tile, so a chunk never holds more
-than one coarse tile (and its time-major copy) beside its fine block.
+Every study scheme steps one such grid in lockstep over a single walk of
+the fine block, which the propagator coarsens a tile at a time, so a chunk
+never holds a coarse block beside its fine one.
 The root-mean-square terminal gap over paths is then fitted to a power law
 ``e(h) = C h^r`` in log-log space. Every driver here refuses a Milstein
 scheme, as study or reference, on noise not known to commute.
@@ -44,20 +44,12 @@ import numpy as np
 from .model import EvaluationError, SdeProblem, _sample_states, drift_full
 from .paths import (
     _MAX_PATHS,
-    _coarsen_increments,
     _draw_increments,
     _generator,
     _scale_increments,
     _stream_keys,
 )
-from .schemes import (
-    SchemeKind,
-    _copy_time_major,
-    _propagate,
-    _tile_steps,
-    require_supported,
-    step_function,
-)
+from .schemes import SchemeKind, _propagate, require_supported, step_function
 
 __all__ = [
     "CHUNK_PATHS",
@@ -180,17 +172,18 @@ def _run_chunks(worker: Callable, paths: int, threads: int) -> list:
 
 def _batch_endpoints(
     problem: SdeProblem,
-    scheme: SchemeKind,
+    kinds: Sequence[SchemeKind],
     increments: np.ndarray,
     h: float,
     observe: Optional[Callable] = None,
-    start: Optional[tuple[np.ndarray, np.ndarray]] = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Integrate a (batch, steps, m) block; return terminal states and a
-    blow-up mask. Blown paths are frozen to the NaN sentinel; ``observe``
-    and ``start`` (a returned pair to continue from) are passed on to
-    :func:`schemes._propagate`."""
-    return _propagate(problem, step_function(scheme), increments, h, observe, start)
+    factor: int = 1,
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Integrate a (batch, steps, m) block, coarsened by ``factor``, with
+    every scheme of ``kinds`` in lockstep; return terminal states and a
+    blow-up mask per scheme. Blown paths are frozen to the NaN sentinel;
+    ``observe`` is passed on to :func:`schemes._propagate`."""
+    steps = [step_function(kind) for kind in kinds]
+    return _propagate(problem, steps, increments, h, observe, factor)
 
 
 def _batch_grid_moments(
@@ -219,7 +212,7 @@ def _batch_grid_moments(
         s2[n] = add(live_sq)
         s4[n] = add(live_sq ** 2)
 
-    _batch_endpoints(problem, scheme, increments, h, observe)
+    _batch_endpoints(problem, [scheme], increments, h, observe)
     return s2, s4, counts
 
 
@@ -314,37 +307,16 @@ def strong_error_table(
     def worker(lo: int, hi: int):
         inc = _stack_increments(seed, lo, hi, reference_steps, m, problem.horizon)
         sq_err = np.empty((hi - lo, n_s, n_h))
-        tile = _tile_steps(inc)
         # a blown path ends at the NaN sentinel, so its squared gap is NaN;
         # surviving endpoints can be finite yet so large that their squared
         # gap overflows to +inf, which is honest data, not a warning condition
         with _STEP_LOCK, np.errstate(over="ignore", invalid="ignore"):
-            ref_final, _ = _batch_endpoints(problem, ref_kind, inc, h_ref)
-            # one coarse tile and its time-major copy, reused for every tile
-            # of every grid and stepped by every study scheme: allocating them
-            # per tile has the heap trimmed and faulted back in each time
-            coarse_buf = np.empty((hi - lo) * tile * m)
-            timed_buf = np.empty_like(coarse_buf)
+            [(ref_final, _)] = _batch_endpoints(problem, [ref_kind], inc, h_ref)
             for ih, steps in enumerate(steps_list):
-                factor = reference_steps // steps
-                h = problem.horizon / steps
-                ends = [None] * n_s
-                # coarsen one time-major tile of this grid at a time and carry
-                # every run on over it, so no whole coarse block is ever held
-                for first in range(0, reference_steps, factor * tile):
-                    fine = inc[:, first : first + factor * tile]
-                    shape = (hi - lo, fine.shape[1] // factor, m)
-                    size = math.prod(shape)
-                    coarse = _coarsen_increments(
-                        fine, factor, out=coarse_buf[:size].reshape(shape)
-                    )
-                    timed = _copy_time_major(
-                        coarse, timed_buf[:size].reshape(shape[1], shape[0], m)
-                    )
-                    # a (batch, steps, m) view that _propagate walks in place
-                    block = timed.swapaxes(0, 1)
-                    for ks, kind in enumerate(scheme_kinds):
-                        ends[ks] = _batch_endpoints(problem, kind, block, h, start=ends[ks])
+                ends = _batch_endpoints(
+                    problem, scheme_kinds, inc, problem.horizon / steps,
+                    factor=reference_steps // steps,
+                )
                 for ks, (final, _) in enumerate(ends):
                     gap = final - ref_final
                     sq_err[:, ks, ih] = np.sum(gap * gap, axis=1)
@@ -369,7 +341,10 @@ def strong_error_table(
             with np.errstate(over="ignore", invalid="ignore"):
                 mean_sq = float(np.sum(sq) / sq.size)
                 rms[ih] = math.sqrt(mean_sq)
-                if sq.size > 1 and rms[ih] > 0:
+                if rms[ih] == math.inf:
+                    # the sample deviation of a sample holding +inf is NaN
+                    stderrs[ih] = math.inf
+                elif sq.size > 1 and rms[ih] > 0:
                     se_mean = float(np.std(sq, ddof=1)) / math.sqrt(sq.size)
                     stderrs[ih] = se_mean / (2.0 * rms[ih])
                 else:

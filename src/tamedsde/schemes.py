@@ -34,7 +34,7 @@ that fail the commutativity check unless explicitly overridden.
 The five differ in two switches, read off the scheme: which drift part is
 tamed (``SchemeKind.taming``) and whether the correction is added
 (``SchemeKind.is_milstein``). One parameterized step implements them all,
-and one batch propagator runs it over a block of paths.
+and one batch propagator runs any of them, in lockstep, over a block of paths.
 
 Step functions broadcast: ``x`` may be ``(d,)`` or ``(batch, d)`` with
 ``dW`` shaped ``(m,)`` or ``(batch, m)``.
@@ -49,9 +49,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import SdeProblem, _levy_product, check_commutativity
-from .paths import PathBundle
+from .paths import PathBundle, _coarsen_increments
 
-# Upper bound on the bytes of the time-major increment tile _propagate copies,
+# Upper bound on the bytes of the time-major increment tile _propagate walks,
 # and the paths copied into it per numpy call (see _time_major).
 _TILE_BYTES = 1 << 20
 _COPY_PATHS = 16
@@ -101,13 +101,14 @@ class SchemeKind(enum.Enum):
 def tame(v: np.ndarray, h: float) -> np.ndarray:
     """Damp a drift vector: ``v / (1 + h ||v||)`` (Euclidean norm).
 
-    Monotone in ``||v||`` and bounded: ``||tame(v, h)|| <= min(||v||, 1/h)``.
-    In exact arithmetic the inequality is strict for ``v != 0, h > 0``; in
-    floats ``1 + h ||v||`` rounds to ``h ||v||`` once that reaches ``2**53``,
-    and the norm is then ``1/h`` up to the rounding of the division. So the
-    per-step tamed contribution ``tame(v, h) * h`` has norm at most one. A
-    norm whose square overflows still gives a finite result; only an
-    ``h ||v||`` past the float range overflows, with numpy's warning.
+    While ``h ||v||`` is finite, monotone in ``||v||`` and bounded:
+    ``||tame(v, h)|| <= min(||v||, 1/h)``. In exact arithmetic the inequality
+    is strict for ``v != 0, h > 0``; in floats ``1 + h ||v||`` rounds to
+    ``h ||v||`` once that reaches ``2**53``, and the norm is then ``1/h`` up
+    to the rounding of the division. So the per-step tamed contribution
+    ``tame(v, h) * h`` has norm at most one. A norm whose square overflows
+    still gives a finite result. An ``h ||v||`` past the float range
+    overflows, with numpy's warning, and the result is then zero.
     """
     if h < 0:
         raise ValueError(f"h must be nonnegative, got {h}")
@@ -299,88 +300,78 @@ def integrate(
     def observe(n, x, alive):
         states[n] = x[0]
 
-    _, blown = _propagate(
-        problem, step_function(scheme), bundle.increments[None], h, observe
+    [(_, blown)] = _propagate(
+        problem, [step_function(scheme)], bundle.increments[None], h, observe
     )
     times = np.arange(n_steps + 1) * h
     return Trajectory(times=times, states=states, blew_up=bool(blown[0]), step=h)
 
 
-def _tile_steps(increments):
-    """Steps of a (batch, steps, m) block that fit one time-major tile."""
-    batch, _, m = increments.shape
-    return max(1, _TILE_BYTES // max(1, batch * m * increments.itemsize))
+def _time_major(increments, factor=1):
+    """Yield the (batch, m) increments of each step of a (batch, steps, m)
+    block, summed over ``factor`` consecutive steps.
 
-
-def _copy_time_major(part, out):
-    """Copy a (batch, steps, m) block into the (steps, batch, m) ``out``.
-
-    The copy runs ``_COPY_PATHS`` paths at a time: path rows sit a power of
-    two apart on the usual grids, and a copy over every path at once would
-    map all of them to one cache set.
+    The block is walked in slices of ``factor`` times one tile of steps. Each
+    slice is coarsened into one flat buffer (only for ``factor > 1``), then
+    copied ``_COPY_PATHS`` paths at a time into one time-major buffer of at
+    most ``_TILE_BYTES``, so each step reads adjacent memory. Path rows sit a
+    power of two apart on the usual grids, and a copy over every path at once
+    would map all of them to one cache set. Both buffers serve the whole
+    walk, so a yielded row holds its step's increments only until the next
+    one is taken.
     """
-    for lo in range(0, part.shape[0], _COPY_PATHS):
-        out[:, lo : lo + _COPY_PATHS] = part[lo : lo + _COPY_PATHS].swapaxes(0, 1)
-    return out
-
-
-def _time_major(increments):
-    """Yield the (batch, m) increments of each step of a (batch, steps, m) block.
-
-    A block that is a view of a contiguous (steps, batch, m) array is walked
-    in place. Any other is copied one tile of steps at a time into one
-    contiguous (tile, batch, m) buffer of at most ``_TILE_BYTES``, so each
-    step reads adjacent memory instead of one entry per path ``steps * m``
-    apart. The buffer is refilled for every tile, so a yielded row holds its
-    step's increments only until the next one is taken.
-    """
-    by_step = increments.swapaxes(0, 1)
-    if by_step.flags.c_contiguous:
-        yield from by_step
-        return
     batch, steps, m = increments.shape
-    tile = _tile_steps(increments)
-    buf = np.empty((min(tile, steps), batch, m), dtype=increments.dtype)
-    for start in range(0, steps, tile):
-        part = increments[:, start : start + tile]
-        yield from _copy_time_major(part, buf[: part.shape[1]])
+    tile = max(1, _TILE_BYTES // max(1, batch * m * increments.itemsize))
+    size = min(tile, steps // factor) * batch * m
+    timed = np.empty(size, dtype=increments.dtype)
+    coarse = np.empty_like(timed) if factor > 1 else None
+    for first in range(0, steps, factor * tile):
+        part = increments[:, first : first + factor * tile]
+        n = part.shape[1] // factor
+        if factor > 1:
+            out = coarse[: batch * n * m].reshape(batch, n, m)
+            part = _coarsen_increments(part, factor, out=out)
+        rows = timed[: n * batch * m].reshape(n, batch, m)
+        for lo in range(0, batch, _COPY_PATHS):
+            rows[:, lo : lo + _COPY_PATHS] = part[lo : lo + _COPY_PATHS].swapaxes(0, 1)
+        yield from rows
 
 
-def _propagate(problem, step, increments, h, observe=None, start=None):
-    """Integrate a (batch, steps, m) increment block.
+def _propagate(problem, steps, increments, h, observe=None, factor=1):
+    """Integrate a (batch, steps, m) increment block, coarsened by ``factor``,
+    with every step function in ``steps`` in lockstep over one walk.
 
-    The batch starts from the initial value, or continues from ``start``,
-    the ``(states, blown)`` pair an earlier call returned. A path whose state
-    turns non-finite is frozen to the NaN sentinel and stays blown up;
-    stepping stops once no path is alive, and a batch that starts with none
-    takes no step. ``observe(n, x, alive)`` sees the states at every
-    gridpoint ``n`` reached, counted from the block's first. Returns the
-    terminal states and the blow-up mask.
+    Every run starts from the initial value. A path whose state turns
+    non-finite is frozen to the NaN sentinel and stays blown up; a run whose
+    last path dies takes no further step, and the walk ends once no run is
+    live. ``observe(n, x, alive)``, passed only with one step function, sees
+    the states at every gridpoint ``n`` reached. Returns one
+    ``(terminal states, blow-up mask)`` pair per step function.
     """
-    if start is None:
-        batch = increments.shape[0]
-        x = np.tile(problem.initial_value, (batch, 1))
-        alive = np.ones(batch, dtype=bool)
-    else:
-        x, blown = start
-        alive = ~blown
+    batch = increments.shape[0]
+    xs = [np.tile(problem.initial_value, (batch, 1)) for _ in steps]
+    alive = [np.ones(batch, dtype=bool) for _ in steps]
+    live = list(range(len(steps)))
     with np.errstate(over="ignore", invalid="ignore"):
         if observe is not None:
-            observe(0, x, alive)
-        steps = _time_major(increments) if alive.any() else ()
-        for n, dW in enumerate(steps, 1):
-            x = step(problem, x, dW, h)
-            # one reduction on the common path: the sum of the entries is
-            # finite only if every entry is; a sum that overflows from finite
-            # entries costs a row mask that kills nothing
-            all_finite = math.isfinite(np.add.reduce(x, axis=None))
-            if not all_finite:
-                finite = np.isfinite(x).all(axis=1)
-                x[~finite] = np.nan
-                alive &= finite
-            if observe is not None:
-                observe(n, x, alive)
-            # only a step with a non-finite state can kill the last live path
-            if not (all_finite or alive.any()):
-                break
-    return x, ~alive
+            observe(0, xs[0], alive[0])
+        for n, dW in enumerate(_time_major(increments, factor), 1):
+            ended = False
+            for k in live:
+                x = xs[k] = steps[k](problem, xs[k], dW, h)
+                # one reduction on the common path: the sum of the entries is
+                # finite only if every entry is; a sum that overflows from
+                # finite entries costs a row mask that kills nothing
+                if not math.isfinite(np.add.reduce(x, axis=None)):
+                    finite = np.isfinite(x).all(axis=1)
+                    x[~finite] = np.nan
+                    alive[k] &= finite
+                    # only a step with a non-finite state can end a run
+                    ended = ended or not alive[k].any()
+                if observe is not None:
+                    observe(n, x, alive[k])
+            if ended:
+                live = [k for k in live if alive[k].any()]
+                if not live:
+                    break
+    return [(x, ~a) for x, a in zip(xs, alive)]

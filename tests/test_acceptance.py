@@ -177,7 +177,9 @@ def test_pairwise_milstein_term_exact_order():
     rms = []
     for h in stepsizes:
         coarse = _coarsen_increments(increments, int(round(h * fine)))
-        final, blown = _batch_endpoints(problem, SchemeKind.SEMI_TAMED_MILSTEIN, coarse, h)
+        [(final, blown)] = _batch_endpoints(
+            problem, [SchemeKind.SEMI_TAMED_MILSTEIN], coarse, h
+        )
         assert not blown.any()
         rms.append(float(np.sqrt(np.mean((final[:, 0] - exact) ** 2))))
     order = fit_power_law(stepsizes, rms).order

@@ -209,6 +209,26 @@ def test_blown_paths_are_excluded(unstable_long):
     assert report.rms_errors[0] > 0
 
 
+def test_overflowing_gaps_report_an_infinite_stderr():
+    """Finite endpoints whose squared gap overflows give an infinite RMS and
+    an infinite standard error, never NaN."""
+    problem = SdeProblem(
+        dim_state=1,
+        dim_noise=1,
+        phi=lambda x: x,
+        varphi=lambda x: 0.0 * x,
+        diffusion_column=lambda x, j: 0.0 * x,
+        diffusion_derivative_product=lambda x, j1, j2: 0.0 * x,
+        initial_value=np.array([1e160]),
+        horizon=1.0,
+    )
+    report = _study(problem, "semi-tamed-euler", [1.0, 0.5], paths=4, seed=SEED,
+                    reference_steps=8)
+    assert np.isposinf(report.rms_errors).all()
+    assert np.isposinf(report.stderrs).all()
+    assert not report.excluded_paths.any()
+
+
 def _doomed():
     """Deterministic cascade: zero diffusion, pure quintic, large start.
     Untamed Euler overflows on every path within a few steps of h <= 1/2;
@@ -238,13 +258,15 @@ def _whole_block_errors(problem, kinds, ref_kind, steps_list, reference_steps, i
     whole fine block at once and integrated in one pass."""
     step = schemes.step_function
     h_ref = problem.horizon / reference_steps
-    ref_final, _ = schemes._propagate(problem, step(ref_kind), inc, h_ref)
+    [(ref_final, _)] = schemes._propagate(problem, [step(ref_kind)], inc, h_ref)
     sq_err = np.empty((inc.shape[0], len(kinds), len(steps_list)))
     with np.errstate(over="ignore", invalid="ignore"):
         for ih, steps in enumerate(steps_list):
             coarse = _coarsen_increments(inc, reference_steps // steps)
             for ks, kind in enumerate(kinds):
-                final, _ = schemes._propagate(problem, step(kind), coarse, problem.horizon / steps)
+                [(final, _)] = schemes._propagate(
+                    problem, [step(kind)], coarse, problem.horizon / steps
+                )
                 gap = final - ref_final
                 sq_err[:, ks, ih] = np.sum(gap * gap, axis=1)
     return sq_err
@@ -569,7 +591,7 @@ def _reference_grid_moments(problem, kind, increments, h):
         s2[n] = np.sum(live_sq ** 1)
         s4[n] = np.sum(live_sq ** 2)
 
-    analysis._batch_endpoints(problem, kind, increments, h, observe)
+    analysis._batch_endpoints(problem, [kind], increments, h, observe)
     return s2, s4, counts
 
 

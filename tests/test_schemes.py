@@ -25,6 +25,7 @@ from tamedsde import (
 )
 from tamedsde import analysis, schemes
 from tamedsde.model import _levy_product
+from tamedsde.paths import _coarsen_increments
 
 from conftest import SEED, make_diagonal_2d, make_gbm, make_swapped_2d
 
@@ -539,7 +540,9 @@ def test_integrate_is_a_batch_of_one(unstable_long):
     ]
     stacked = np.stack([b.increments for b in bundles])
     for kind in SchemeKind:
-        batch_final, batch_blown = analysis._batch_endpoints(unstable_long, kind, stacked, 0.25)
+        [(batch_final, batch_blown)] = analysis._batch_endpoints(
+            unstable_long, [kind], stacked, 0.25
+        )
         trajs = [integrate(unstable_long, kind, b) for b in bundles]
         final = np.stack([t.final_state for t in trajs])
         assert np.array_equal(final, batch_final, equal_nan=True), kind
@@ -640,15 +643,15 @@ def test_propagate_tiles_match_naive_loop(monkeypatch, make_problem):
             dead = base.copy()
             dead[:, 0, :] = 1e300  # every path dies at step 2: the last steps never run
             blocks["all-dead"] = dead
-        # a view of a time-major array, walked without a copy
+        # a view of a time-major array is copied like any other block
         blocks["time-major"] = np.ascontiguousarray(base.swapaxes(0, 1)).swapaxes(0, 1)
         h = problem.horizon / steps
         for label, inc in blocks.items():
             for kind in SchemeKind:
                 step = step_function(kind)
                 seen = []
-                final, blown = schemes._propagate(
-                    problem, step, inc, h, lambda n, x, alive: seen.append((n, x.copy()))
+                [(final, blown)] = schemes._propagate(
+                    problem, [step], inc, h, lambda n, x, alive: seen.append((n, x.copy()))
                 )
                 ref_final, ref_blown, ref_states = _naive_propagate(problem, step, inc, h)
                 where = (steps, label, kind.value)
@@ -663,44 +666,53 @@ def test_propagate_tiles_match_naive_loop(monkeypatch, make_problem):
                     assert blown.all() and len(seen) <= 3 < steps + 1, where
 
 
-def test_time_major_walks_a_time_major_view_in_place_and_reuses_one_tile(monkeypatch):
-    """A view of a contiguous (steps, batch, m) array yields its own rows; a
-    batch-major block is copied tile by tile into one buffer."""
-    monkeypatch.setattr(schemes, "_TILE_BYTES", TILE * BATCH * 8)
-    base = analysis._stack_increments(SEED, 0, BATCH, 2 * TILE + 3, 1, 1.0)
-    timed = np.ascontiguousarray(base.swapaxes(0, 1))
-    rows = list(schemes._time_major(timed.swapaxes(0, 1)))
-    assert all(np.shares_memory(row, timed) for row in rows)
-    assert np.array_equal(_bits(np.stack(rows)), _bits(timed))
+@pytest.mark.parametrize("factor", [1, 2, 8])
+@pytest.mark.parametrize("tile_steps", [1, 3, None], ids=["one-step", "non-dividing", "default"])
+def test_time_major_rows_are_the_coarsened_block_and_share_one_buffer(
+    monkeypatch, factor, tile_steps
+):
+    """The walk yields the rows of the whole block coarsened at once, bitwise,
+    from one time-major buffer that every tile refills."""
+    steps = 8 * 11  # 88, 44 and 11 coarse steps: a tile of 3 divides none
+    base = analysis._stack_increments(SEED, 0, BATCH, steps, 2, 1.0)
+    if tile_steps is not None:
+        monkeypatch.setattr(schemes, "_TILE_BYTES", tile_steps * BATCH * 2 * 8)
+    want = _coarsen_increments(base, factor).swapaxes(0, 1)
+    copies = [row.copy() for row in schemes._time_major(base, factor)]
+    assert np.array_equal(_bits(np.stack(copies)), _bits(want))
+    if tile_steps is not None:
+        rows = list(schemes._time_major(base, factor))
+        assert all(np.shares_memory(rows[0], row) for row in rows[tile_steps::tile_steps])
 
-    rows = list(schemes._time_major(base))
-    copies = [row.copy() for row in schemes._time_major(base)]
-    assert np.array_equal(_bits(np.stack(copies)), _bits(timed))
-    assert np.shares_memory(rows[0], rows[TILE]) and np.shares_memory(rows[0], rows[2 * TILE])
 
+def test_lockstep_runs_match_single_runs_and_a_dead_run_takes_no_step(unstable_long):
+    """Schemes stepped in lockstep end where each one stepped alone does; a
+    run whose last path has died takes no further step while the others
+    run to the end."""
+    inc = analysis._stack_increments(SEED, 0, 64, 32, 1, 8.0)
+    em, tamed = step_function("em"), step_function("tamed-euler")
+    [(_, em_blown)] = schemes._propagate(unstable_long, [em], inc, 0.25)
+    doomed = inc[em_blown]  # paths on which em blows up within the 32 steps
+    assert 0 < len(doomed) < 64
+    for block in (inc, doomed):
+        alone = [schemes._propagate(unstable_long, [s], block, 0.25)[0] for s in (em, tamed)]
+        calls = {"em": 0, "tamed-euler": 0}
 
-def test_continued_batch_matches_one_pass_and_a_dead_one_takes_no_step(unstable_long):
-    """A block integrated in two pieces, the second continued from the
-    first's (states, blown) pair, ends where one pass over it does; a batch
-    continued with no live path returns its states without a step."""
-    step = step_function("em")
-    inc = analysis._stack_increments(SEED, 0, 64, 8, 1, unstable_long.horizon)
-    whole_final, whole_blown = schemes._propagate(unstable_long, step, inc, 0.25)
-    assert 0 < whole_blown.sum() < 64
-    head = schemes._propagate(unstable_long, step, inc[:, :3], 0.25)
-    final, blown = schemes._propagate(unstable_long, step, inc[:, 3:], 0.25, start=head)
-    assert np.array_equal(blown, whole_blown)
-    assert np.array_equal(_bits(final), _bits(whole_final))
+        def counted(name, step):
+            def counted_step(*args):
+                calls[name] += 1
+                return step(*args)
 
-    calls = []
+            return counted_step
 
-    def counted(problem, x, dW, h):
-        calls.append(h)
-        return step(problem, x, dW, h)
-
-    dead = (np.full((64, 1), np.nan), np.ones(64, dtype=bool))
-    final, blown = schemes._propagate(unstable_long, counted, inc, 0.25, start=dead)
-    assert calls == [] and blown.all() and np.isnan(final).all()
+        together = schemes._propagate(
+            unstable_long, [counted("em", em), counted("tamed-euler", tamed)], block, 0.25
+        )
+        for (final, blown), (ref_final, ref_blown) in zip(together, alone):
+            assert np.array_equal(blown, ref_blown)
+            assert np.array_equal(_bits(final), _bits(ref_final))
+        assert not together[1][1].any() and calls["tamed-euler"] == 32
+    assert together[0][1].all() and calls["em"] < 32
 
 
 def _propagate_one_step(rows):
@@ -708,7 +720,8 @@ def _propagate_one_step(rows):
     rows = np.array(rows, dtype=np.float64)
     problem = make_diagonal_2d()
     increments = np.zeros((rows.shape[0], 1, problem.dim_noise))
-    return schemes._propagate(problem, lambda p, x, dW, h: rows.copy(), increments, 0.1)
+    [end] = schemes._propagate(problem, [lambda p, x, dW, h: rows.copy()], increments, 0.1)
+    return end
 
 
 def test_propagate_keeps_finite_rows_whose_sum_overflows():
