@@ -177,11 +177,11 @@ def _batch_endpoints(
     h: float,
     observe: Optional[Callable] = None,
     factor: int = 1,
-) -> list[tuple[np.ndarray, np.ndarray]]:
+) -> list[np.ndarray]:
     """Integrate a (batch, steps, m) block, coarsened by ``factor``, with
-    every scheme of ``kinds`` in lockstep; return terminal states and a
-    blow-up mask per scheme. Blown paths are frozen to the NaN sentinel;
-    ``observe`` is passed on to :func:`schemes._propagate`."""
+    every scheme of ``kinds`` in lockstep; return the terminal states per
+    scheme, with blown paths frozen to the NaN sentinel. ``observe(n, x)``
+    is passed on to :func:`schemes._propagate`."""
     steps = [step_function(kind) for kind in kinds]
     return _propagate(problem, steps, increments, h, observe, factor)
 
@@ -204,13 +204,15 @@ def _batch_grid_moments(
     add = np.add.reduce
     one_dim = problem.dim_state == 1
 
-    def observe(n, x, alive):
+    def observe(n, x):
         sq = x * x
         sq = sq.reshape(-1) if one_dim else add(sq, axis=1)
-        live_sq = sq if alive.all() else sq[alive]
-        counts[n] = live_sq.size
-        s2[n] = add(live_sq)
-        s4[n] = add(live_sq ** 2)
+        s2[n] = add(sq)
+        if math.isnan(s2[n]):  # a blown path's square is NaN, a live one never
+            sq = sq[~np.isnan(sq)]
+            s2[n] = add(sq)
+        counts[n] = sq.size
+        s4[n] = add(sq ** 2)
 
     _batch_endpoints(problem, [scheme], increments, h, observe)
     return s2, s4, counts
@@ -311,13 +313,13 @@ def strong_error_table(
         # surviving endpoints can be finite yet so large that their squared
         # gap overflows to +inf, which is honest data, not a warning condition
         with _STEP_LOCK, np.errstate(over="ignore", invalid="ignore"):
-            [(ref_final, _)] = _batch_endpoints(problem, [ref_kind], inc, h_ref)
+            [ref_final] = _batch_endpoints(problem, [ref_kind], inc, h_ref)
             for ih, steps in enumerate(steps_list):
                 ends = _batch_endpoints(
                     problem, scheme_kinds, inc, problem.horizon / steps,
                     factor=reference_steps // steps,
                 )
-                for ks, (final, _) in enumerate(ends):
+                for ks, final in enumerate(ends):
                     gap = final - ref_final
                     sq_err[:, ks, ih] = np.sum(gap * gap, axis=1)
         return sq_err

@@ -9,7 +9,8 @@ Outputs land in the configured (or ``--out``) directory:
 
 converge
     ``convergence.csv`` (scheme, h, rms_error, stderr, excluded_paths) and
-    ``fit.txt`` with one power-law fit line per scheme.
+    ``fit.txt`` with one power-law fit line per scheme, or ``fit=none``
+    where fewer than two stepsizes have a finite positive RMS error.
 stability
     ``stability.csv`` (scheme, h, t, mean_square, blown_up_count). Moments
     average surviving paths only; gridpoints where no path survives are
@@ -388,6 +389,17 @@ def _validate_grid(cfg: ExperimentConfig, problem) -> None:
 # first, so a late refusal in _fmt leaves no partial output.
 
 
+def _fit_line(r) -> str:
+    """One scheme's ``fit.txt`` line; ``fit=none`` where no fit is possible."""
+    if np.count_nonzero(np.isfinite(r.rms_errors) & (r.rms_errors > 0)) < 2:
+        reason = "fewer than two stepsizes with a finite positive rms_error"
+        return f"scheme={r.scheme.value} fit=none ({reason})"
+    return (
+        f"scheme={r.scheme.value} C={_fmt(r.fit_constant)} "
+        f"r={_fmt(r.fit_order)} residual={_fmt(r.fit_residual)}"
+    )
+
+
 def _run_converge(cfg: ExperimentConfig, problem, threads: int):
     table = strong_error_table(
         problem,
@@ -405,11 +417,8 @@ def _run_converge(cfg: ExperimentConfig, problem, threads: int):
         for r in reports
         for i, h in enumerate(r.stepsizes)
     ]
-    fit_lines = ["# least-squares fit of rms_error = C * h^r per scheme"] + [
-        f"scheme={r.scheme.value} C={_fmt(r.fit_constant)} "
-        f"r={_fmt(r.fit_order)} residual={_fmt(r.fit_residual)}"
-        for r in reports
-    ]
+    fit_lines = ["# least-squares fit of rms_error = C * h^r per scheme"]
+    fit_lines += [_fit_line(r) for r in reports]
     files = [("convergence.csv", rows), ("fit.txt", fit_lines)]
     if cfg.gnuplot:
         plots = ", \\\n     ".join(
@@ -465,12 +474,11 @@ def _run_simulate(cfg: ExperimentConfig, problem, threads: int):
                     cfg.seed, k, n_steps, problem.dim_noise, problem.horizon
                 )
                 traj = integrate(problem, kind, bundle)
-                rows = [header]
-                finite = np.all(np.isfinite(traj.states), axis=1)
-                for n in range(traj.times.size):
-                    if not finite[n]:
-                        break
-                    rows.append(_row((traj.times[n], *traj.states[n])))
+                # a blown path's rows from its blow-up on are the NaN sentinel
+                rows = [header] + [
+                    _row((t, *x)) for t, x in zip(traj.times, traj.states)
+                    if not np.isnan(x).any()
+                ]
                 if traj.blew_up:
                     print(
                         f"warning: {kind.value} path {k} at h={h} blew up; "

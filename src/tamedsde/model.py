@@ -34,7 +34,7 @@ Noise columns are indexed 0-based: ``0 <= j < dim_noise``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -339,49 +339,24 @@ def _doubled_product(x, j1, j2):
     return 2.0 * x
 
 
-def _make_unstable_cubic() -> SdeProblem:
+# name: (phi, varphi, diffusion column, its derivative product, default horizon)
+_BUILTINS = {
     # dX = (2X - X^5) dt + X dW: linear growth 2X makes the zero solution
     # mean-square unstable; the quintic term is the one-sided part.
-    return SdeProblem(
-        dim_state=1,
-        dim_noise=1,
-        phi=_linear_growth,
-        varphi=_quintic_decay,
-        diffusion_column=_identity_column,
-        diffusion_derivative_product=_identity_product,
-        initial_value=np.array([1.0]),
-        horizon=1.0,
-        label="ginzburg-landau-unstable",
-        commutative=True,
-    )
-
-
-def _make_stable() -> SdeProblem:
+    "ginzburg-landau-unstable": (
+        _linear_growth, _quintic_decay, _identity_column, _identity_product, 1.0
+    ),
     # dX = (-2X - X^5) dt + sqrt(2) X dW: contractive linear part, same
     # quintic term; mean-square stable for the exact solution.
-    return SdeProblem(
-        dim_state=1,
-        dim_noise=1,
-        phi=_linear_decay,
-        varphi=_quintic_decay,
-        diffusion_column=_sqrt2_column,
-        diffusion_derivative_product=_doubled_product,
-        initial_value=np.array([1.0]),
-        horizon=5.0,
-        label="ginzburg-landau-stable",
-        commutative=True,
-    )
-
-
-_BUILTIN_FACTORIES = {
-    "ginzburg-landau-unstable": _make_unstable_cubic,
-    "ginzburg-landau-stable": _make_stable,
+    "ginzburg-landau-stable": (
+        _linear_decay, _quintic_decay, _sqrt2_column, _doubled_product, 5.0
+    ),
 }
 
 
 def builtin_problem_names() -> list[str]:
     """Names accepted by :func:`builtin_problem`, sorted."""
-    return sorted(_BUILTIN_FACTORIES)
+    return sorted(_BUILTINS)
 
 
 def builtin_problem(name: str, horizon: Optional[float] = None) -> SdeProblem:
@@ -395,9 +370,19 @@ def builtin_problem(name: str, horizon: Optional[float] = None) -> SdeProblem:
         Override the problem's default terminal time.
     """
     try:
-        factory = _BUILTIN_FACTORIES[name]
+        phi, varphi, column, product, default_horizon = _BUILTINS[name]
     except KeyError:
         valid = ", ".join(builtin_problem_names())
         raise ValueError(f"unknown built-in problem {name!r}; valid names: {valid}") from None
-    problem = factory()
-    return problem if horizon is None else replace(problem, horizon=horizon)
+    return SdeProblem(
+        dim_state=1,
+        dim_noise=1,
+        phi=phi,
+        varphi=varphi,
+        diffusion_column=column,
+        diffusion_derivative_product=product,
+        initial_value=np.array([1.0]),
+        horizon=default_horizon if horizon is None else horizon,
+        label=name,
+        commutative=True,
+    )

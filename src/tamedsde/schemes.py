@@ -276,9 +276,10 @@ def integrate(
     """Apply a scheme along one increment bundle.
 
     Steps ``N = bundle.steps_fine`` times with ``h = bundle.horizon / N``.
-    Blow-up is flagged, not raised: the first non-finite state marks the
-    trajectory and the remaining grid rows are left as NaN sentinels. The
-    path runs as a batch of one through the Monte Carlo propagator.
+    Blow-up is flagged, not raised: from the first non-finite state on, every
+    grid row holds the NaN sentinel, and ``blew_up`` is read off the final
+    row. The path runs as a batch of one through the Monte Carlo propagator,
+    whose observer ``observe(n, x)`` records each row.
 
     Raises
     ------
@@ -297,14 +298,13 @@ def integrate(
     h = bundle.horizon / n_steps
     states = np.full((n_steps + 1, problem.dim_state), np.nan)
 
-    def observe(n, x, alive):
+    def observe(n, x):
         states[n] = x[0]
 
-    [(_, blown)] = _propagate(
-        problem, [step_function(scheme)], bundle.increments[None], h, observe
-    )
+    _propagate(problem, [step_function(scheme)], bundle.increments[None], h, observe)
     times = np.arange(n_steps + 1) * h
-    return Trajectory(times=times, states=states, blew_up=bool(blown[0]), step=h)
+    blew_up = bool(np.isnan(states[-1]).any())
+    return Trajectory(times=times, states=states, blew_up=blew_up, step=h)
 
 
 def _time_major(increments, factor=1):
@@ -342,22 +342,20 @@ def _propagate(problem, steps, increments, h, observe=None, factor=1):
     with every step function in ``steps`` in lockstep over one walk.
 
     Every run starts from the initial value. A path whose state turns
-    non-finite is frozen to the NaN sentinel and stays blown up; a run whose
-    last path dies takes no further step, and the walk ends once no run is
-    live. ``observe(n, x, alive)``, passed only with one step function, sees
-    the states at every gridpoint ``n`` reached. Returns one
-    ``(terminal states, blow-up mask)`` pair per step function.
+    non-finite is frozen to the NaN sentinel, its only record of the blow-up;
+    a run with no finite path left takes no further step, and the walk ends
+    once no run is live. ``observe(n, x)``, passed only with one step
+    function, sees the states at every gridpoint ``n`` reached. Returns the
+    terminal states of each step function.
     """
     batch = increments.shape[0]
     xs = [np.tile(problem.initial_value, (batch, 1)) for _ in steps]
-    alive = [np.ones(batch, dtype=bool) for _ in steps]
     live = list(range(len(steps)))
     with np.errstate(over="ignore", invalid="ignore"):
         if observe is not None:
-            observe(0, xs[0], alive[0])
+            observe(0, xs[0])
         for n, dW in enumerate(_time_major(increments, factor), 1):
-            ended = False
-            for k in live:
+            for k in tuple(live):
                 x = xs[k] = steps[k](problem, xs[k], dW, h)
                 # one reduction on the common path: the sum of the entries is
                 # finite only if every entry is; a sum that overflows from
@@ -365,13 +363,10 @@ def _propagate(problem, steps, increments, h, observe=None, factor=1):
                 if not math.isfinite(np.add.reduce(x, axis=None)):
                     finite = np.isfinite(x).all(axis=1)
                     x[~finite] = np.nan
-                    alive[k] &= finite
-                    # only a step with a non-finite state can end a run
-                    ended = ended or not alive[k].any()
+                    if not finite.any():
+                        live.remove(k)
                 if observe is not None:
-                    observe(n, x, alive[k])
-            if ended:
-                live = [k for k in live if alive[k].any()]
-                if not live:
-                    break
-    return [(x, ~a) for x, a in zip(xs, alive)]
+                    observe(n, x)
+            if not live:
+                break
+    return xs

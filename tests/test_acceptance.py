@@ -177,10 +177,8 @@ def test_pairwise_milstein_term_exact_order():
     rms = []
     for h in stepsizes:
         coarse = _coarsen_increments(increments, int(round(h * fine)))
-        [(final, blown)] = _batch_endpoints(
-            problem, [SchemeKind.SEMI_TAMED_MILSTEIN], coarse, h
-        )
-        assert not blown.any()
+        [final] = _batch_endpoints(problem, [SchemeKind.SEMI_TAMED_MILSTEIN], coarse, h)
+        assert not np.isnan(final).any()
         rms.append(float(np.sqrt(np.mean((final[:, 0] - exact) ** 2))))
     order = fit_power_law(stepsizes, rms).order
     assert 0.85 <= order <= 1.15, f"pairwise Milstein order r={order:.4f}"

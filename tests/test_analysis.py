@@ -258,13 +258,13 @@ def _whole_block_errors(problem, kinds, ref_kind, steps_list, reference_steps, i
     whole fine block at once and integrated in one pass."""
     step = schemes.step_function
     h_ref = problem.horizon / reference_steps
-    [(ref_final, _)] = schemes._propagate(problem, [step(ref_kind)], inc, h_ref)
+    [ref_final] = schemes._propagate(problem, [step(ref_kind)], inc, h_ref)
     sq_err = np.empty((inc.shape[0], len(kinds), len(steps_list)))
     with np.errstate(over="ignore", invalid="ignore"):
         for ih, steps in enumerate(steps_list):
             coarse = _coarsen_increments(inc, reference_steps // steps)
             for ks, kind in enumerate(kinds):
-                [(final, _)] = schemes._propagate(
+                [final] = schemes._propagate(
                     problem, [step(kind)], coarse, problem.horizon / steps
                 )
                 gap = final - ref_final
@@ -585,8 +585,8 @@ def _reference_grid_moments(problem, kind, increments, h):
     s2, s4 = np.zeros(n_steps + 1), np.zeros(n_steps + 1)
     counts = np.zeros(n_steps + 1, dtype=np.int64)
 
-    def observe(n, x, alive):
-        live_sq = np.sum(x * x, axis=1)[alive]
+    def observe(n, x):
+        live_sq = np.sum(x * x, axis=1)[np.isfinite(x).all(axis=1)]
         counts[n] = live_sq.size
         s2[n] = np.sum(live_sq ** 1)
         s4[n] = np.sum(live_sq ** 2)

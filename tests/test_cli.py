@@ -15,12 +15,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import tamedsde
 from tamedsde import cli
 from tamedsde.analysis import StabilityThreshold
 from tamedsde.cli import KINDS, ConfigError, load_config, main, run
+from tamedsde.model import SdeProblem
 
 from conftest import SEED
 
@@ -462,6 +464,37 @@ def test_converge_nan_fit_writes_nothing(tmp_path, capsys, monkeypatch):
     assert main(["converge", "--config", path]) == 3
     assert "refusing to write NaN" in capsys.readouterr().err
     assert list(out.iterdir()) == []
+
+
+def test_converge_without_a_possible_fit_writes_fit_none(tmp_path, monkeypatch):
+    """Every squared gap overflows, so no stepsize has a finite RMS error: the
+    CSV holds the infinite values, fit.txt says no fit was possible, and the
+    run succeeds without writing NaN."""
+    problem = SdeProblem(
+        dim_state=1,
+        dim_noise=1,
+        phi=lambda x: x,
+        varphi=lambda x: 0.0 * x,
+        diffusion_column=lambda x, j: 0.0 * x,
+        diffusion_derivative_product=lambda x, j1, j2: 0.0 * x,
+        initial_value=np.array([1e160]),
+        horizon=1.0,
+    )
+    monkeypatch.setattr(cli, "builtin_problem", lambda name, horizon=None: problem)
+    out = tmp_path / "out"
+    payload = converge_payload(
+        schemes=["semi-tamed-euler"], stepsizes=[1.0, 0.5], paths=4,
+        reference_steps=8, output_dir=str(out),
+    )
+    assert main(["converge", "--config", write_config(tmp_path, payload)]) == 0
+    assert (out / "convergence.csv").read_text().splitlines()[1:] == [
+        "semi-tamed-euler,1.0,inf,inf,0",
+        "semi-tamed-euler,0.5,inf,inf,0",
+    ]
+    assert (out / "fit.txt").read_text().splitlines()[1:] == [
+        "scheme=semi-tamed-euler fit=none "
+        "(fewer than two stepsizes with a finite positive rms_error)"
+    ]
 
 
 def test_converge_byte_determinism_across_threads(tmp_path):
