@@ -89,7 +89,7 @@ _STEP_LOCK = threading.Lock()
 
 def _steps_for(horizon: float, stepsize: float) -> int:
     """Number of grid steps for ``stepsize``, which must divide ``horizon``."""
-    if stepsize <= 0:
+    if not stepsize > 0:
         raise ValueError(f"stepsize must be positive, got {stepsize}")
     ratio = horizon / stepsize
     steps = int(round(ratio))
@@ -569,7 +569,8 @@ class DissipativityReport:
     """Worst-case check of ``2<x, f(x)> + ||g(x)||_F^2 <= -gamma ||x||^2``.
 
     ``margin`` is the maximum over sample points of the left side plus
-    ``gamma ||x||^2`` (nonpositive up to tolerance when the bound holds).
+    ``gamma ||x||^2``; ``passed`` holds when that sum is at most
+    ``1e-10 (1 + ||x||^2)`` at every point.
     """
 
     passed: bool
@@ -582,13 +583,12 @@ def check_dissipativity(
     problem: SdeProblem,
     gamma: float,
     sample_points: Sequence[np.ndarray] | np.ndarray,
-    tolerance: Optional[float] = None,
 ) -> DissipativityReport:
     """Test the exponential mean-square contraction condition numerically.
 
     Evaluates ``2<x, f(x)> + sum_j ||g_j(x)||^2 + gamma ||x||^2`` on every
-    sample point; the condition holds when each value is below tolerance
-    (default ``1e-10 * (1 + ||x||^2)`` pointwise).
+    sample point; the condition holds when each value is at most the
+    pointwise rounding allowance ``1e-10 (1 + ||x||^2)``.
     """
     if not gamma > 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
@@ -600,12 +600,8 @@ def check_dissipativity(
         col = np.asarray(problem.diffusion_column(points, j), dtype=np.float64)
         diffusion_sq += np.sum(col * col, axis=-1)
     expression = 2.0 * np.sum(points * f, axis=-1) + diffusion_sq + gamma * sq_norm
-    if tolerance is None:
-        tol = 1e-10 * (1.0 + sq_norm)
-    else:
-        tol = np.full_like(sq_norm, float(tolerance))
     return DissipativityReport(
-        passed=bool(np.all(expression <= tol)),
+        passed=bool(np.all(expression <= 1e-10 * (1.0 + sq_norm))),
         margin=float(np.max(expression)),
         gamma=float(gamma),
         sample_count=points.shape[0],

@@ -362,13 +362,10 @@ def _write_lines(path: str, lines: list[str]) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _sample_points(problem, cfg: ExperimentConfig):
-    if problem.dim_state == 1:
-        return np.linspace(cfg.sample_low, cfg.sample_high, cfg.sample_count).reshape(-1, 1)
-    rng = np.random.default_rng(0)
-    return rng.uniform(
-        cfg.sample_low, cfg.sample_high, size=(cfg.sample_count, problem.dim_state)
-    )
+def _sample_points(cfg: ExperimentConfig):
+    """Evenly spaced states over [sample_low, sample_high]; every built-in
+    model has a scalar state."""
+    return np.linspace(cfg.sample_low, cfg.sample_high, cfg.sample_count).reshape(-1, 1)
 
 
 def _validate_grid(cfg: ExperimentConfig, problem) -> None:
@@ -506,7 +503,7 @@ def _run_threshold(cfg: ExperimentConfig, problem, threads: int):
 
 
 def _run_check(cfg: ExperimentConfig, problem, threads: int):
-    points = _sample_points(problem, cfg)
+    points = _sample_points(cfg)
     commutativity = check_commutativity(problem, points, tolerance=cfg.tolerance)
     dissipativity = check_dissipativity(problem, cfg.gamma, points)
     lines = [

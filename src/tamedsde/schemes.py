@@ -29,7 +29,7 @@ The Milstein correction uses the symmetric product form
 
 grouped over unordered pairs, which is valid only when the noise
 commutes; ``integrate`` refuses Milstein variants on multi-noise problems
-that fail the commutativity check unless explicitly overridden.
+that fail the commutativity check.
 
 The five differ in two switches, read off the scheme: which drift part is
 tamed (``SchemeKind.taming``) and whether the correction is added
@@ -101,14 +101,14 @@ class SchemeKind(enum.Enum):
 def tame(v: np.ndarray, h: float) -> np.ndarray:
     """Damp a drift vector: ``v / (1 + h ||v||)`` (Euclidean norm).
 
-    While ``h ||v||`` is finite, monotone in ``||v||`` and bounded:
+    For a finite ``||v||``, monotone in ``||v||`` and bounded:
     ``||tame(v, h)|| <= min(||v||, 1/h)``. In exact arithmetic the inequality
     is strict for ``v != 0, h > 0``; in floats ``1 + h ||v||`` rounds to
     ``h ||v||`` once that reaches ``2**53``, and the norm is then ``1/h`` up
     to the rounding of the division. So the per-step tamed contribution
     ``tame(v, h) * h`` has norm at most one. A norm whose square overflows
-    still gives a finite result. An ``h ||v||`` past the float range
-    overflows, with numpy's warning, and the result is then zero.
+    still gives a finite result, and where ``h ||v||`` passes the float range
+    (possible only for ``h > 1``) the result is its limit ``v / ||v|| / h``.
     """
     if h < 0:
         raise ValueError(f"h must be nonnegative, got {h}")
@@ -127,18 +127,27 @@ def _tame(v: np.ndarray, h: float) -> np.ndarray:
     wrapper.
     """
     if v.ndim == 0 or v.shape[-1] == 1:
-        return v / (1.0 + h * np.abs(v))
-    with np.errstate(over="ignore"):  # rows whose squares overflow are rescaled
-        sq = np.add.reduce(v * v, axis=-1, keepdims=True)
-        overflow = not math.isfinite(np.add.reduce(sq, axis=None))
-    if overflow:
-        # a scale of one leaves every other row's squares and sum as they were
-        big = np.isinf(sq) & np.isfinite(v).all(axis=-1, keepdims=True)
-        scale = np.where(big, np.abs(v).max(axis=-1, keepdims=True), 1.0)
-        unit = v / scale
-        norm = scale * np.sqrt(np.add.reduce(unit * unit, axis=-1, keepdims=True))
+        norm = np.abs(v)
     else:
-        norm = np.sqrt(sq)
+        with np.errstate(over="ignore"):  # rows whose squares overflow are rescaled
+            sq = np.add.reduce(v * v, axis=-1, keepdims=True)
+            overflow = not math.isfinite(np.add.reduce(sq, axis=None))
+        if overflow:
+            # a scale of one leaves every other row's squares and sum as they were
+            big = np.isinf(sq) & np.isfinite(v).all(axis=-1, keepdims=True)
+            scale = np.where(big, np.abs(v).max(axis=-1, keepdims=True), 1.0)
+            unit = v / scale
+            norm = scale * np.sqrt(np.add.reduce(unit * unit, axis=-1, keepdims=True))
+        else:
+            norm = np.sqrt(sq)
+    if h > 1:  # only here can h ||v|| pass the float range from a finite norm
+        with np.errstate(over="ignore"):
+            damp = 1.0 + h * norm
+        far = np.isinf(damp) & np.isfinite(norm)
+        if far.any():  # the limit there is v / ||v|| / h
+            v = v / np.where(far, norm, 1.0)
+            damp = np.where(far, h, damp)
+        return v / damp
     return v / (1.0 + h * norm)
 
 
@@ -214,36 +223,28 @@ def _default_check_points(problem: SdeProblem, count: int = 16) -> np.ndarray:
     return problem.initial_value[None, :] + scale * offsets
 
 
-def require_supported(
-    problem: SdeProblem,
-    scheme: "str | SchemeKind",
-    allow_noncommutative: bool = False,
-) -> SchemeKind:
+def require_supported(problem: SdeProblem, scheme: "str | SchemeKind") -> SchemeKind:
     """Validate that ``scheme`` may be applied to ``problem``.
 
-    Milstein variants demand commutative noise: multi-noise problems must
-    either declare ``commutative=True``, pass the sampled numerical check,
-    or be forced through with ``allow_noncommutative=True``.
+    Milstein variants demand commutative noise: a multi-noise problem must
+    declare ``commutative=True`` or pass the sampled numerical check. Any
+    other problem is refused, with no override, since the symmetric
+    correction is not the Milstein term on noise that does not commute.
     """
     scheme = SchemeKind.from_name(scheme)
-    if not scheme.is_milstein or allow_noncommutative:
-        return scheme
-    if problem.commutative is True:
+    if not scheme.is_milstein or problem.commutative is True:
         return scheme
     if problem.commutative is False:
         raise ValueError(
             f"problem {problem.label!r} declares non-commutative noise; "
-            f"{scheme.value} requires commutative noise "
-            "(override with allow_noncommutative=True on integrate or require_supported)"
+            f"{scheme.value} requires commutative noise"
         )
     report = check_commutativity(problem, _default_check_points(problem))
     if not report.passed:
         raise ValueError(
             f"problem {problem.label!r} fails the commutativity check "
             f"(max violation {report.max_violation:.3e} > tolerance "
-            f"{report.tolerance:.3e}); {scheme.value} requires commutative "
-            "noise (override with allow_noncommutative=True on integrate or "
-            "require_supported)"
+            f"{report.tolerance:.3e}); {scheme.value} requires commutative noise"
         )
     return scheme
 
@@ -268,10 +269,7 @@ class Trajectory:
 
 
 def integrate(
-    problem: SdeProblem,
-    scheme: "str | SchemeKind",
-    bundle: PathBundle,
-    allow_noncommutative: bool = False,
+    problem: SdeProblem, scheme: "str | SchemeKind", bundle: PathBundle
 ) -> Trajectory:
     """Apply a scheme along one increment bundle.
 
@@ -286,9 +284,9 @@ def integrate(
     ValueError
         If the bundle's noise dimension does not match the problem's, or
         a Milstein variant is requested for noise that is not known to
-        commute (see :func:`require_supported`).
+        commute (see :func:`require_supported`); no flag overrides this.
     """
-    scheme = require_supported(problem, scheme, allow_noncommutative)
+    scheme = require_supported(problem, scheme)
     if bundle.dim_noise != problem.dim_noise:
         raise ValueError(
             f"bundle has dim_noise={bundle.dim_noise} but problem "

@@ -149,6 +149,80 @@ def test_unknown_scheme_rejected(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize(
+    "payload, anchor, message",
+    [
+        (lambda: converge_payload(horizon=0), "horizon", "horizon must be positive, got 0"),
+        (
+            lambda: {"kind": "check", "model": "ginzburg-landau-stable", "gamma": -1.0},
+            "gamma",
+            "gamma must be positive, got -1.0",
+        ),
+        (lambda: converge_payload(model=3), "model", "model must be a string, got 3"),
+        (
+            lambda: converge_payload(schemes=[]),
+            "schemes",
+            "schemes must be a nonempty list of scheme names",
+        ),
+        (
+            lambda: converge_payload(schemes="em"),
+            "schemes",
+            "schemes must be a nonempty list of scheme names",
+        ),
+        (
+            lambda: converge_payload(stepsizes=[0.25, "0.1"]),
+            "stepsizes",
+            "stepsizes entries must be finite positive reals, got '0.1'",
+        ),
+        (
+            lambda: converge_payload(reference_scheme="rk4"),
+            "reference_scheme",
+            "unknown scheme 'rk4'; valid names: em, tamed-euler, semi-tamed-euler, "
+            "tamed-milstein, semi-tamed-milstein",
+        ),
+        (
+            lambda: threshold_payload(stability_params=[1]),
+            "stability_params",
+            "stability_params must be an object",
+        ),
+        (
+            lambda: threshold_payload(
+                stability_params={**threshold_payload()["stability_params"], "rho": "2"}
+            ),
+            "rho",
+            "stability_params.rho must be a number",
+        ),
+    ],
+    ids=[
+        "horizon-zero",
+        "gamma-negative",
+        "model-not-a-string",
+        "schemes-empty",
+        "schemes-a-string",
+        "stepsizes-string-entry",
+        "reference-scheme-unknown",
+        "stability-params-a-list",
+        "param-a-string",
+    ],
+)
+def test_invalid_values_rejected_at_their_line(tmp_path, payload, anchor, message):
+    path = write_config(tmp_path, payload())
+    lineno = line_of(path, f'"{anchor}"')
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert str(err.value) == f"{path}:{lineno}: {message}"
+
+
+def test_run_refuses_an_unknown_kind(tmp_path):
+    """A hand-built config of an unknown kind is refused before its output
+    directory is made."""
+    out = tmp_path / "out"
+    with pytest.raises(ConfigError) as err:
+        run(cli.ExperimentConfig(kind="bogus", output_dir=str(out)))
+    assert str(err.value) == "<config>: unknown kind 'bogus'"
+    assert not out.exists()
+
+
 def test_boolean_is_not_a_number(tmp_path):
     path = write_config(tmp_path, converge_payload(paths=True))
     with pytest.raises(ConfigError, match="paths must be a number"):
