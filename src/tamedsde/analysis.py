@@ -12,12 +12,12 @@ The root-mean-square terminal gap over paths is then fitted to a power law
 scheme, as study or reference, on noise not known to commute.
 
 Sample paths are processed in fixed-size chunks (``CHUNK_PATHS`` paths per
-chunk) whose boundaries depend only on the path index, and chunk results
-are reduced in chunk order. Worker threads only distribute chunks, so
-results are bit-identical for any thread count, including 1; no more
-threads run than there are chunks or available cores. A chunk draws its
-increments concurrently with the others and then does all of its stepping
-under one lock.
+chunk) whose boundaries depend only on the path index. Chunks run one after
+another on the caller's thread and are reduced in chunk order, so only one
+chunk's increment block is live at a time. Extra threads draw the current
+chunk's streams in parallel: a Philox stream is fully set by its key, so any
+split of the rows gives the same bits. Results are therefore bit-identical
+for any thread count, including 1.
 
 Stability analysis has two sides. The closed-form side computes the
 stepsize threshold ``h*`` and the exponential decay rate ``gamma_h`` of
@@ -33,7 +33,6 @@ from __future__ import annotations
 import math
 import os
 import sys
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass
 from fractions import Fraction
@@ -75,16 +74,12 @@ __all__ = [
 # identical no matter how many workers run.
 CHUNK_PATHS = 512
 
-# Taken once per chunk, after its increments are drawn, for all of the
-# chunk's stepping and reduction. A step is a few dozen small numpy
-# operations, each of which drops and retakes the interpreter lock; two
-# chunks stepping at once hand that lock back and forth on every operation
-# (about 3e5 context switches and twice the CPU time of one worker per
-# full-width study, varying with the host's load), and a lock taken per tile
-# or per run still invites a switch at every release. Drawing increments runs
-# mostly outside the interpreter lock and still overlaps with another
-# chunk's stepping.
-_STEP_LOCK = threading.Lock()
+# Normals per stream from which a chunk's draws are split across threads.
+# A shorter stream's draw is mostly per-stream set-up that holds the
+# interpreter lock: on a 2-core host, splitting 512 such streams over two
+# threads measured up to 1.2x slower at 80-512 normals, and 1.4-1.9x faster
+# from 1024 up.
+_SPLIT_MIN_NORMALS = 1024
 
 
 def _steps_for(horizon: float, stepsize: float) -> int:
@@ -131,18 +126,40 @@ def _chunk_ranges(paths: int) -> list[tuple[int, int]]:
 
 
 def _stack_increments(
-    seed: int, lo: int, hi: int, steps: int, dim_noise: int, horizon: float
+    seed: int, lo: int, hi: int, steps: int, dim_noise: int, horizon: float,
+    threads: int = 1,
 ) -> np.ndarray:
     """Increments for paths lo..hi-1, identical to per-path generation.
 
-    The chunk's keys are derived in one pass; one generator, private to this
-    call, is restarted per path and draws its standard normals straight into
-    the path's row, and the whole block is scaled once.
+    The chunk's keys are derived in one pass. The rows are cut into at most
+    ``min(threads, hi - lo, available cores)`` contiguous slices, or one
+    slice where a stream holds fewer than ``_SPLIT_MIN_NORMALS`` normals.
+    Each slice has its own generator, restarted per path to draw its standard
+    normals straight into the path's row; the caller's thread draws the first
+    slice and helper threads the others. A helper's error is raised here, so
+    a block with undrawn rows is never returned. The whole block is scaled
+    once.
     """
-    gen = _generator()
     block = np.empty((hi - lo, steps, dim_noise))
-    for row, key in zip(block, _stream_keys(seed, lo, hi).tolist()):
-        _draw_increments(gen, key, row)
+    keys = _stream_keys(seed, lo, hi).tolist()
+
+    def draw(start: int, stop: int) -> None:
+        gen = _generator()
+        for row, key in zip(block[start:stop], keys[start:stop]):
+            _draw_increments(gen, key, row)
+
+    parts = 1
+    if steps * dim_noise >= _SPLIT_MIN_NORMALS:
+        parts = min(threads, hi - lo, _available_cores())
+    cuts = [(hi - lo) * k // parts for k in range(parts + 1)]
+    if parts == 1:
+        draw(*cuts)
+    else:
+        with ThreadPoolExecutor(max_workers=parts - 1) as pool:
+            helpers = [pool.submit(draw, a, b) for a, b in zip(cuts[1:-1], cuts[2:])]
+            draw(cuts[0], cuts[1])
+        for helper in helpers:
+            helper.result()
     return _scale_increments(block, steps, horizon)
 
 
@@ -155,19 +172,13 @@ def _available_cores() -> int:
 
 
 def _run_chunks(worker: Callable, paths: int, threads: int) -> list:
-    """Run ``worker`` over every chunk, returning results in chunk order.
+    """Call ``worker(lo, hi, threads)`` for every chunk, one after another on
+    the caller's thread, and return the results in chunk order.
 
-    At most one worker per chunk and per available core. Workers draw their
-    increments concurrently, then each holds ``_STEP_LOCK`` for the rest of
-    its chunk, so chunks step one after another and a thread beyond the
-    cores only costs its start-up.
+    ``threads`` is how many threads a chunk may draw its increments on; the
+    chunk's stepping and reduction run on the caller's thread alone.
     """
-    ranges = _chunk_ranges(paths)
-    workers = min(threads, len(ranges), _available_cores())
-    if workers <= 1:
-        return [worker(lo, hi) for lo, hi in ranges]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, *zip(*ranges)))
+    return [worker(lo, hi, threads) for lo, hi in _chunk_ranges(paths)]
 
 
 def _batch_endpoints(
@@ -306,13 +317,13 @@ def strong_error_table(
     n_s = len(scheme_kinds)
     m = problem.dim_noise
 
-    def worker(lo: int, hi: int):
-        inc = _stack_increments(seed, lo, hi, reference_steps, m, problem.horizon)
+    def worker(lo: int, hi: int, threads: int):
+        inc = _stack_increments(seed, lo, hi, reference_steps, m, problem.horizon, threads)
         sq_err = np.empty((hi - lo, n_s, n_h))
         # a blown path ends at the NaN sentinel, so its squared gap is NaN;
         # surviving endpoints can be finite yet so large that their squared
         # gap overflows to +inf, which is honest data, not a warning condition
-        with _STEP_LOCK, np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             [ref_final] = _batch_endpoints(problem, [ref_kind], inc, h_ref)
             for ih, steps in enumerate(steps_list):
                 ends = _batch_endpoints(
@@ -415,10 +426,9 @@ def mean_square_curve(
     _check_paths(paths)
     m = problem.dim_noise
 
-    def worker(lo: int, hi: int):
-        inc = _stack_increments(seed, lo, hi, steps, m, problem.horizon)
-        with _STEP_LOCK:
-            return _batch_grid_moments(problem, kind, inc, stepsize)
+    def worker(lo: int, hi: int, threads: int):
+        inc = _stack_increments(seed, lo, hi, steps, m, problem.horizon, threads)
+        return _batch_grid_moments(problem, kind, inc, stepsize)
 
     parts = _run_chunks(worker, paths, threads)
     s2 = np.sum([p[0] for p in parts], axis=0)

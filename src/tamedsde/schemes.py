@@ -106,9 +106,10 @@ def tame(v: np.ndarray, h: float) -> np.ndarray:
     is strict for ``v != 0, h > 0``; in floats ``1 + h ||v||`` rounds to
     ``h ||v||`` once that reaches ``2**53``, and the norm is then ``1/h`` up
     to the rounding of the division. So the per-step tamed contribution
-    ``tame(v, h) * h`` has norm at most one. A norm whose square overflows
-    still gives a finite result, and where ``h ||v||`` passes the float range
-    (possible only for ``h > 1``) the result is its limit ``v / ||v|| / h``.
+    ``tame(v, h) * h`` has norm at most one. A norm whose square overflows,
+    or which itself passes the float range, still gives a finite result, and
+    where ``h ||v||`` passes the float range (possible only for ``h > 1``)
+    the result is its limit ``v / ||v|| / h``.
     """
     if h < 0:
         raise ValueError(f"h must be nonnegative, got {h}")
@@ -122,9 +123,10 @@ def _tame(v: np.ndarray, h: float) -> np.ndarray:
     One entry's norm is its magnitude, which is ``sqrt(v * v)`` bitwise
     wherever the square neither overflows nor turns subnormal. Rows whose
     finite entries square past the float range are divided by their largest
-    magnitude before squaring; every other row takes ``sqrt`` of its sum of
-    squares. ``np.add.reduce`` is the summation ``np.sum`` runs, minus its
-    wrapper.
+    magnitude before squaring; where the norm itself then overflows, such a
+    row is ``v / (1 + h ||v||)`` with both sides divided by that magnitude.
+    Every other row takes ``sqrt`` of its sum of squares. ``np.add.reduce``
+    is the summation ``np.sum`` runs, minus its wrapper.
     """
     if v.ndim == 0 or v.shape[-1] == 1:
         norm = np.abs(v)
@@ -137,7 +139,15 @@ def _tame(v: np.ndarray, h: float) -> np.ndarray:
             big = np.isinf(sq) & np.isfinite(v).all(axis=-1, keepdims=True)
             scale = np.where(big, np.abs(v).max(axis=-1, keepdims=True), 1.0)
             unit = v / scale
-            norm = scale * np.sqrt(np.add.reduce(unit * unit, axis=-1, keepdims=True))
+            unit_norm = np.sqrt(np.add.reduce(unit * unit, axis=-1, keepdims=True))
+            with np.errstate(over="ignore"):
+                norm = scale * unit_norm
+            huge = np.isinf(norm) & big
+            if huge.any():
+                rest = _tame(np.where(huge, 0.0, v), h)
+                with np.errstate(invalid="ignore"):  # only the huge rows are kept
+                    tamed = unit / (1.0 / scale + h * unit_norm)
+                return np.where(huge, tamed, rest)
         else:
             norm = np.sqrt(sq)
     if h > 1:  # only here can h ||v|| pass the float range from a finite norm

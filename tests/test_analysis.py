@@ -7,7 +7,6 @@ import math
 import os
 import sys
 import threading
-import time
 import tracemalloc
 from fractions import Fraction
 
@@ -154,31 +153,43 @@ def test_thread_count_does_not_change_bits(unstable):
     assert serial.fit_constant == threaded.fit_constant
 
 
-def test_run_chunks_order_and_worker_cap(monkeypatch):
-    paths = 5 * CHUNK_PATHS - 7
-    ranges = analysis._chunk_ranges(paths)
-    real_cores = analysis._available_cores()
+def _drawing_threads(monkeypatch):
+    """Record the thread of every ``_draw_increments`` call."""
+    idents = []
+    real_draw = analysis._draw_increments
 
-    def run(threads):
-        idents = set()
+    def draw(*args):
+        idents.append(threading.get_ident())
+        return real_draw(*args)
 
-        def worker(lo, hi):
-            idents.add(threading.get_ident())
-            time.sleep(0.002 * (paths - lo) / CHUNK_PATHS)  # early chunks finish last
-            return lo, hi
+    monkeypatch.setattr(analysis, "_draw_increments", draw)
+    return idents
 
-        assert analysis._run_chunks(worker, paths, threads) == ranges
-        return idents
 
-    for threads in (1, 2, 8):
-        assert len(run(threads)) <= min(threads, len(ranges), real_cores)
-    for cores in (1, 3):
-        monkeypatch.setattr(analysis, "_available_cores", lambda: cores)
-        for threads in (1, 2, 8):
-            assert len(run(threads)) <= min(threads, len(ranges), cores)
-    assert run(8) != {threading.get_ident()}  # a 3-worker pool, not the caller
-    monkeypatch.setattr(analysis, "_available_cores", lambda: 1)
-    assert run(8) == {threading.get_ident()}
+@pytest.mark.parametrize("rows", [505, 2])
+def test_split_draw_is_bitwise_and_capped(monkeypatch, rows):
+    """However a chunk's rows are split across threads, the block is the one
+    drawn on the caller's thread, and at most min(threads, rows, cores)
+    threads draw it."""
+    lo, steps, dim_noise = 3 * CHUNK_PATHS, 512, 2
+    want = analysis._stack_increments(SEED, lo, lo + rows, steps, dim_noise, 2.0)
+    idents = _drawing_threads(monkeypatch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for cores in (1, 3):
+            monkeypatch.setattr(analysis, "_available_cores", lambda: cores)
+            for threads in (1, 2, 8):
+                idents.clear()
+                got = analysis._stack_increments(SEED, lo, lo + rows, steps, dim_noise, 2.0,
+                                                 threads)
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+                assert len(idents) == rows and threading.get_ident() in idents
+                width = min(threads, rows, cores)
+                assert (len(set(idents)) > 1) == (width > 1)
+                assert len(set(idents)) <= width
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_available_cores_follows_affinity(monkeypatch):
@@ -383,71 +394,107 @@ def test_study_holds_no_coarse_block(unstable):
     assert block < peak < block + 4 * 2**20
 
 
-class _RecordingLock:
-    """A lock that knows which thread holds it."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self.holder = None
-
-    def __enter__(self):
-        self._lock.acquire()
-        self.holder = threading.get_ident()
-        return self
-
-    def __exit__(self, *exc):
-        self.holder = None
-        self._lock.release()
-
-
 @pytest.mark.parametrize("driver", ["strong-error-table", "mean-square-curve"])
-def test_each_chunk_steps_under_one_lock_after_its_draws(unstable, monkeypatch, driver):
-    """At two workers a chunk draws without the step lock, then holds it
-    for all of its steps, so the steps of one chunk are never interleaved
-    with another's."""
-    lock = _RecordingLock()
+def test_chunks_step_in_order_on_the_callers_thread(unstable, monkeypatch, driver):
+    """At two threads a chunk's draws are split, but every step runs on the
+    caller's thread and chunk k's steps all come before chunk k+1's."""
     local = threading.local()
-    steps, draws = [], []
-    real_stack, real_draw = analysis._stack_increments, analysis._draw_increments
-    real_step_function = analysis.step_function
+    steps = []
+    real_stack, real_step_function = analysis._stack_increments, analysis.step_function
 
     def stack(seed, lo, hi, *args):
         local.chunk = lo
         return real_stack(seed, lo, hi, *args)
 
-    def draw(*args):
-        draws.append(lock.holder == threading.get_ident())
-        return real_draw(*args)
-
     def step_function(scheme):
         step = real_step_function(scheme)
 
         def recorded(*args):
-            steps.append((local.chunk, lock.holder == threading.get_ident()))
+            steps.append((local.chunk, threading.get_ident()))
             return step(*args)
 
         return recorded
 
-    monkeypatch.setattr(analysis, "_STEP_LOCK", lock)
+    idents = _drawing_threads(monkeypatch)
     monkeypatch.setattr(analysis, "_available_cores", lambda: 2)
     monkeypatch.setattr(analysis, "_stack_increments", stack)
-    monkeypatch.setattr(analysis, "_draw_increments", draw)
     monkeypatch.setattr(analysis, "step_function", step_function)
-    paths = 4 * CHUNK_PATHS
+    paths = 3 * CHUNK_PATHS - 100
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         if driver == "strong-error-table":
             strong_error_table(unstable, ["semi-tamed-euler", "em"], [2.0**-2, 2.0**-4],
-                               paths=paths, seed=SEED, reference_steps=32, threads=2)
+                               paths=paths, seed=SEED, reference_steps=1024, threads=2)
         else:
-            mean_square_curve(unstable, "em", 2.0**-4, paths=paths, seed=SEED, threads=2)
+            mean_square_curve(unstable, "em", 2.0**-10, paths=paths, seed=SEED, threads=2)
     finally:
         sys.setswitchinterval(interval)
-    assert len(draws) == paths and not any(draws)
-    assert all(held for _, held in steps)
-    runs = [chunk for i, (chunk, _) in enumerate(steps) if i == 0 or steps[i - 1][0] != chunk]
-    assert sorted(runs) == [lo for lo, _ in analysis._chunk_ranges(paths)]
+    assert len(idents) == paths and len(set(idents)) == 2
+    assert {ident for _, ident in steps} == {threading.get_ident()}
+    chunks = [chunk for chunk, _ in steps]
+    assert chunks == sorted(chunks)
+    assert sorted(set(chunks)) == [lo for lo, _ in analysis._chunk_ranges(paths)]
+
+
+def test_a_helper_draw_error_reaches_the_caller(unstable, monkeypatch):
+    """An error in a helper thread's draw is raised by the study, and no
+    step runs on a block with undrawn rows."""
+    caller = threading.get_ident()
+    real_draw, real_step_function = analysis._draw_increments, analysis.step_function
+    steps = []
+
+    def draw(*args):
+        if threading.get_ident() != caller:
+            raise MemoryError("helper draw failed")
+        return real_draw(*args)
+
+    def step_function(scheme):
+        steps.append(scheme)
+        return real_step_function(scheme)
+
+    monkeypatch.setattr(analysis, "_available_cores", lambda: 2)
+    monkeypatch.setattr(analysis, "_draw_increments", draw)
+    monkeypatch.setattr(analysis, "step_function", step_function)
+    with pytest.raises(MemoryError, match="helper draw failed"):
+        strong_error_table(unstable, ["em"], [2.0**-2, 2.0**-4], paths=CHUNK_PATHS,
+                           seed=SEED, reference_steps=1024, threads=2)
+    assert steps == []
+
+
+def test_short_streams_start_no_thread(unstable, monkeypatch):
+    """An 80-normal stream is too short for a split draw to pay, so even at
+    eight threads and cores the draws stay on the caller's thread."""
+    started = []
+    real_start = threading.Thread.start
+
+    def start(thread):
+        started.append(thread)
+        real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    monkeypatch.setattr(analysis, "_available_cores", lambda: 8)
+    idents = _drawing_threads(monkeypatch)
+    curve = mean_square_curve(unstable, "em", 1.0 / 80, paths=2 * CHUNK_PATHS, seed=SEED,
+                              threads=8)
+    assert curve.times.size == 81
+    assert started == [] and set(idents) == {threading.get_ident()}
+
+
+def test_two_threads_keep_one_block_live(unstable, monkeypatch):
+    """Chunks run one after another, so at two threads the traced peak stays
+    near one chunk's increment block instead of two."""
+    paths, reference_steps = 2 * CHUNK_PATHS, 2**12
+    block = CHUNK_PATHS * reference_steps * 8
+    monkeypatch.setattr(analysis, "_available_cores", lambda: 2)
+    tracemalloc.start()
+    try:
+        _study(unstable, "semi-tamed-euler", [2.0**-1, 2.0**-6], paths=paths, seed=SEED,
+               reference_steps=reference_steps, threads=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / block < 1.5
 
 
 def test_stepsize_must_divide_horizon(unstable):

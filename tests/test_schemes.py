@@ -154,7 +154,8 @@ def test_tame_of_an_overflowing_square_is_near_one_over_h():
 
 def test_tame_past_the_float_range_is_its_limit():
     """Where ``h ||v||`` overflows (only for h > 1) the result is
-    ``v / ||v|| / h``, not zero, and nothing warns."""
+    ``v / ||v|| / h``, and where ``||v||`` itself overflows it is
+    ``v / (1 + h ||v||)`` up to rounding; neither is zero, and nothing warns."""
     assert np.array_equal(tame(np.array([1e308]), 10.0), [0.1])
     assert tame(np.float64(-1e308), 10.0) == -0.1
     assert np.array_equal(tame(np.array([1e308, 0.0]), 10.0), [0.1, 0.0])
@@ -163,6 +164,14 @@ def test_tame_past_the_float_range_is_its_limit():
     assert np.array_equal(out[0], [0.1, 0.0])
     # rows where h ||v|| stays finite keep the plain formula's bits
     assert np.array_equal(_bits(out[1:]), _bits(rows[1:] / [[1.0 + 10.0 * 5.0], [1.0]]))
+    # a norm that itself passes the float range: 1/h up to rounding at h = 0.5,
+    # the limit v / ||v|| / h at h = 2
+    huge = np.array([1.5e308, 1.5e308])
+    np.testing.assert_allclose(tame(huge, 0.5), [2**0.5, 2**0.5], rtol=1e-15)
+    np.testing.assert_allclose(tame(huge, 2.0), [0.5**0.5 / 2, 0.5**0.5 / 2], rtol=1e-15)
+    out = tame(np.vstack([huge, rows]), 0.5)
+    np.testing.assert_allclose(out[0], [2**0.5, 2**0.5], rtol=1e-15)
+    assert np.array_equal(_bits(out[1:]), _bits(tame(rows, 0.5)))
 
 
 @settings(max_examples=200, deadline=None)
