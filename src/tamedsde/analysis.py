@@ -71,7 +71,7 @@ __all__ = [
 
 # Paths per work unit. Fixed (never derived from the thread count) so that
 # chunk boundaries, and therefore floating-point reduction order, are
-# identical no matter how many workers run.
+# identical no matter how many threads run.
 CHUNK_PATHS = 512
 
 # Normals per stream from which a chunk's draws are split across threads.

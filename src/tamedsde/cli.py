@@ -567,7 +567,8 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--paths", type=int, default=None, help="override the path count")
         cmd.add_argument("--out", default=None, help="override the output directory")
         cmd.add_argument(
-            "--threads", type=int, default=1, help="worker threads (output is identical)"
+            "--threads", type=int, default=1,
+            help="threads that draw increments (output is identical)",
         )
     sub.add_parser("list-models", help="list built-in model names")
     return parser
