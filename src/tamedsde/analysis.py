@@ -244,7 +244,9 @@ def fit_power_law(
     """Fit ``errors ~ C * stepsizes**r`` by ordinary least squares on logs.
 
     The residual is the Euclidean norm of the log-space misfit. Requires
-    at least two strictly positive (h, e) pairs.
+    strictly positive (h, e) pairs at two distinct h at least. The line is
+    the closed form on Python floats, with ``math.fsum`` for every sum, so
+    its bits do not depend on which BLAS or SIMD kernel the machine picks.
     """
     h = np.asarray(stepsizes, dtype=np.float64)
     e = np.asarray(errors, dtype=np.float64)
@@ -254,11 +256,17 @@ def fit_power_law(
         raise ValueError("stepsizes must be finite and positive")
     if np.any(e <= 0) or np.any(~np.isfinite(e)):
         raise ValueError("errors must be finite and positive")
-    log_h = np.log(h)
-    log_e = np.log(e)
-    slope, intercept = np.polyfit(log_h, log_e, 1)
-    resid = float(np.linalg.norm(log_e - (slope * log_h + intercept)))
-    return PowerLawFit(order=float(slope), constant=float(np.exp(intercept)), residual=resid)
+    x = [math.log(value) for value in h.tolist()]
+    y = [math.log(value) for value in e.tolist()]
+    mean_x, mean_y = math.fsum(x) / len(x), math.fsum(y) / len(y)
+    dx = [value - mean_x for value in x]
+    spread = math.fsum(a * a for a in dx)
+    if spread == 0.0:
+        raise ValueError("need at least two distinct stepsizes")
+    slope = math.fsum(a * (b - mean_y) for a, b in zip(dx, y)) / spread
+    intercept = mean_y - slope * mean_x
+    resid = math.sqrt(math.fsum((b - (slope * a + intercept)) ** 2 for a, b in zip(x, y)))
+    return PowerLawFit(order=slope, constant=math.exp(intercept), residual=resid)
 
 
 @dataclass(frozen=True)

@@ -101,64 +101,50 @@ class SchemeKind(enum.Enum):
 def tame(v: np.ndarray, h: float) -> np.ndarray:
     """Damp a drift vector: ``v / (1 + h ||v||)`` (Euclidean norm).
 
-    For a finite ``||v||``, monotone in ``||v||`` and bounded:
-    ``||tame(v, h)|| <= min(||v||, 1/h)``. In exact arithmetic the inequality
-    is strict for ``v != 0, h > 0``; in floats ``1 + h ||v||`` rounds to
-    ``h ||v||`` once that reaches ``2**53``, and the norm is then ``1/h`` up
-    to the rounding of the division. So the per-step tamed contribution
-    ``tame(v, h) * h`` has norm at most one. A norm whose square overflows,
-    or which itself passes the float range, still gives a finite result, and
-    where ``h ||v||`` passes the float range (possible only for ``h > 1``)
-    the result is its limit ``v / ||v|| / h``.
+    ``||tame(v, h)|| <= min(||v||, 1/h)`` up to rounding, so the tamed
+    contribution ``tame(v, h) * h`` has norm at most one. A row of finite
+    entries gives a finite result (see ``_tame``), a row with an infinite or
+    NaN entry gives entries of NaN or zero, and nothing warns.
     """
     if h < 0:
         raise ValueError(f"h must be nonnegative, got {h}")
-    return _tame(np.asarray(v, dtype=np.float64), h)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _tame(np.asarray(v, dtype=np.float64), h)
 
 
 def _tame(v: np.ndarray, h: float) -> np.ndarray:
     """``tame`` for a float64 scalar or ``(..., d)`` array and ``h >= 0``,
     unchecked.
 
-    One entry's norm is its magnitude, which is ``sqrt(v * v)`` bitwise
-    wherever the square neither overflows nor turns subnormal. Rows whose
-    finite entries square past the float range are divided by their largest
-    magnitude before squaring; where the norm itself then overflows, such a
-    row is ``v / (1 + h ||v||)`` with both sides divided by that magnitude.
-    Every other row takes ``sqrt`` of its sum of squares. ``np.add.reduce``
-    is the summation ``np.sum`` runs, minus its wrapper.
+    One entry's norm is its magnitude, a longer row's ``sqrt`` of its sum of
+    squares (``np.add.reduce`` is the summation ``np.sum`` runs, minus its
+    wrapper). A row of finite entries whose damping ``1 + h ||v||`` is not
+    finite (or NaN, at ``h = 0``) is divided by its largest magnitude ``s``
+    first: with ``u = v / s`` its damping is ``1 + h (s ||u||)``, and where
+    that is still not finite the row is ``u / (1/s + h ||u||)``.
     """
-    if v.ndim == 0 or v.shape[-1] == 1:
-        norm = np.abs(v)
-    else:
-        with np.errstate(over="ignore"):  # rows whose squares overflow are rescaled
-            sq = np.add.reduce(v * v, axis=-1, keepdims=True)
-            overflow = not math.isfinite(np.add.reduce(sq, axis=None))
-        if overflow:
-            # a scale of one leaves every other row's squares and sum as they were
-            big = np.isinf(sq) & np.isfinite(v).all(axis=-1, keepdims=True)
-            scale = np.where(big, np.abs(v).max(axis=-1, keepdims=True), 1.0)
-            unit = v / scale
-            unit_norm = np.sqrt(np.add.reduce(unit * unit, axis=-1, keepdims=True))
-            with np.errstate(over="ignore"):
-                norm = scale * unit_norm
-            huge = np.isinf(norm) & big
-            if huge.any():
-                rest = _tame(np.where(huge, 0.0, v), h)
-                with np.errstate(invalid="ignore"):  # only the huge rows are kept
-                    tamed = unit / (1.0 / scale + h * unit_norm)
-                return np.where(huge, tamed, rest)
-        else:
-            norm = np.sqrt(sq)
-    if h > 1:  # only here can h ||v|| pass the float range from a finite norm
-        with np.errstate(over="ignore"):
-            damp = 1.0 + h * norm
-        far = np.isinf(damp) & np.isfinite(norm)
-        if far.any():  # the limit there is v / ||v|| / h
-            v = v / np.where(far, norm, 1.0)
-            damp = np.where(far, h, damp)
+    one = v.ndim == 0 or v.shape[-1] == 1
+    if one and h <= 1:  # h |v| <= |v|: a finite entry's damping is finite
+        return v / (1.0 + h * np.abs(v))
+    with np.errstate(over="ignore", invalid="ignore"):
+        damp = 1.0 + h * _norm(v)
+        if not np.isfinite(damp).all():
+            s = np.abs(v) if one else np.abs(v).max(axis=-1, keepdims=True)
+            wide = np.isfinite(s) & ~np.isfinite(damp)
+            s = np.where(wide, s, 1.0)
+            u = v / s
+            unit = _norm(u)
+            damp = np.where(wide, 1.0 + h * (s * unit), damp)
+            far = wide & ~np.isfinite(damp)
+            v = np.where(far, u, v)
+            damp = np.where(far, 1.0 / s + h * unit, damp)
         return v / damp
-    return v / (1.0 + h * norm)
+
+
+def _norm(v: np.ndarray) -> np.ndarray:
+    if v.ndim == 0 or v.shape[-1] == 1:
+        return np.abs(v)
+    return np.sqrt(np.add.reduce(v * v, axis=-1, keepdims=True))
 
 
 def _diffusion_term(problem: SdeProblem, x: np.ndarray, dW: np.ndarray) -> np.ndarray:

@@ -60,6 +60,8 @@ def test_fit_validation():
         fit_power_law([0.1, 0.2], [0.5, 0.0])
     with pytest.raises(ValueError, match="finite"):
         fit_power_law([0.1, np.inf], [0.5, 0.25])
+    with pytest.raises(ValueError, match="distinct"):
+        fit_power_law([0.1, 0.1], [0.5, 0.25])
 
 
 def test_fit_tolerates_noise():

@@ -9,6 +9,7 @@ import json
 import math
 import os
 import pkgutil
+import platform
 import re
 import shutil
 import subprocess
@@ -465,6 +466,45 @@ def test_committed_results_reproduce(tmp_path, kind, config, name):
     assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in expected.iterdir())
     for path in expected.iterdir():
         assert (out / path.name).read_bytes() == path.read_bytes(), path.name
+
+
+_FIT_SCRIPT = """
+import csv, sys
+from tamedsde import fit_power_law
+rows = list(csv.DictReader(open(sys.argv[1])))
+for scheme in dict.fromkeys(row["scheme"] for row in rows):
+    own = [row for row in rows if row["scheme"] == scheme]
+    print(scheme, fit_power_law([float(r["h"]) for r in own], [float(r["rms_error"]) for r in own]))
+"""
+
+
+def _cpu_has_avx2() -> bool:
+    try:
+        with open("/proc/cpuinfo") as fh:
+            return re.search(r"\bavx2\b", fh.read()) is not None
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(
+    platform.machine().lower() not in ("x86_64", "amd64"),
+    reason="OPENBLAS_CORETYPE names x86-64 kernels",
+)
+def test_committed_fit_does_not_depend_on_the_blas_kernel(monkeypatch):
+    """The smoke study's fits, each in a fresh process with OpenBLAS left to
+    pick its kernel or forced to another, print the same bytes."""
+    csv_path = str(REPO / "results" / "convergence_smoke" / "convergence.csv")
+    outputs = []
+    for core in [None, "Prescott"] + (["Haswell"] if _cpu_has_avx2() else []):
+        if core is None:
+            monkeypatch.delenv("OPENBLAS_CORETYPE", raising=False)
+        else:
+            monkeypatch.setenv("OPENBLAS_CORETYPE", core)
+        proc = _run_python("-c", _FIT_SCRIPT, csv_path)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert "semi-tamed-milstein PowerLawFit(order=" in outputs[0]
+    assert outputs == [outputs[0]] * len(outputs)
 
 
 # ------------------------------------------------------------------

@@ -155,7 +155,8 @@ def test_tame_of_an_overflowing_square_is_near_one_over_h():
 def test_tame_past_the_float_range_is_its_limit():
     """Where ``h ||v||`` overflows (only for h > 1) the result is
     ``v / ||v|| / h``, and where ``||v||`` itself overflows it is
-    ``v / (1 + h ||v||)`` up to rounding; neither is zero, and nothing warns."""
+    ``v / (1 + h ||v||)`` up to rounding; neither is zero. A row with an
+    infinite entry gives NaN there and zero elsewhere. Nothing warns."""
     assert np.array_equal(tame(np.array([1e308]), 10.0), [0.1])
     assert tame(np.float64(-1e308), 10.0) == -0.1
     assert np.array_equal(tame(np.array([1e308, 0.0]), 10.0), [0.1, 0.0])
@@ -172,6 +173,40 @@ def test_tame_past_the_float_range_is_its_limit():
     out = tame(np.vstack([huge, rows]), 0.5)
     np.testing.assert_allclose(out[0], [2**0.5, 2**0.5], rtol=1e-15)
     assert np.array_equal(_bits(out[1:]), _bits(tame(rows, 0.5)))
+    for v, expected in [
+        ([[1.5e308, np.inf]], [[0.0, np.nan]]),
+        ([[np.inf, 1.0]], [[np.nan, 0.0]]),
+        ([np.inf], [np.nan]),
+    ]:
+        np.testing.assert_array_equal(tame(np.array(v), 0.5), expected)
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).max <= np.finfo(np.float64).max,
+    reason="long double is no wider than float64 here",
+)
+def test_tame_matches_a_long_double_reference_across_the_float_range():
+    """``v / (1 + h ||v||)`` computed in long double, where no square or
+    product of float64 values overflows, and rounded once to float64. The
+    float64 result takes up to a handful of roundings (the squares, their
+    sum, the root, the damping and the division), so it stays within 4 ulp
+    of the reference, and gives exact zeros where the reference is zero."""
+    rng = np.random.default_rng(SEED)
+    wide = np.longdouble
+    for d in (1, 2, 3, 4):
+        v = 10.0 ** rng.uniform(-300, np.log10(1.7e308), size=(4000, d))
+        v *= rng.choice([-1.0, 1.0], size=v.shape)
+        v[rng.random(v.shape) < 0.15] = 0.0
+        v[:3] = [[1.7e308] * d, [0.0] * d, [1e-300] * d]
+        w = v.astype(wide)
+        norm = np.sqrt(np.sum(w * w, axis=-1, keepdims=True))
+        for h in (0.0, 1e-3, 0.5, 1.0, 2.0, 10.0, 1e3):
+            reference = (w / (1 + wide(h) * norm)).astype(np.float64)
+            out = schemes._tame(v, h)
+            zero = reference == 0.0
+            assert np.array_equal(_bits(out[zero]), _bits(reference[zero])), (d, h)
+            ulps = np.abs(out[~zero] - reference[~zero]) / np.spacing(np.abs(reference[~zero]))
+            assert ulps.max(initial=0.0) <= 4.0, (d, h, ulps.max())
 
 
 @settings(max_examples=200, deadline=None)
