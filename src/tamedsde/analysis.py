@@ -45,6 +45,7 @@ from .paths import (
     _MAX_PATHS,
     _draw_increments,
     _generator,
+    _restart_state,
     _scale_increments,
     _stream_keys,
 )
@@ -80,6 +81,10 @@ CHUNK_PATHS = 512
 # threads measured up to 1.2x slower at 80-512 normals, and 1.4-1.9x faster
 # from 1024 up.
 _SPLIT_MIN_NORMALS = 1024
+
+# Upper bound on the bytes of the buffer in which _batch_grid_moments keeps
+# a block of gridpoints' squared norms until it sums them.
+_MOMENT_BYTES = 1 << 16
 
 
 def _steps_for(horizon: float, stepsize: float) -> int:
@@ -134,19 +139,19 @@ def _stack_increments(
     The chunk's keys are derived in one pass. The rows are cut into at most
     ``min(threads, hi - lo, available cores)`` contiguous slices, or one
     slice where a stream holds fewer than ``_SPLIT_MIN_NORMALS`` normals.
-    Each slice has its own generator, restarted per path to draw its standard
-    normals straight into the path's row; the caller's thread draws the first
-    slice and helper threads the others. A helper's error is raised here, so
-    a block with undrawn rows is never returned. The whole block is scaled
-    once.
+    Each slice has its own generator and restart dict, and restarts the
+    generator per path to draw its standard normals straight into the path's
+    row; the caller's thread draws the first slice and helper threads the
+    others. A helper's error is raised here, so a block with undrawn rows is
+    never returned. The whole block is scaled once.
     """
     block = np.empty((hi - lo, steps, dim_noise))
     keys = _stream_keys(seed, lo, hi).tolist()
 
     def draw(start: int, stop: int) -> None:
-        gen = _generator()
+        gen, state = _generator(), _restart_state()
         for row, key in zip(block[start:stop], keys[start:stop]):
-            _draw_increments(gen, key, row)
+            _draw_increments(gen, key, row, state)
 
     parts = 1
     if steps * dim_noise >= _SPLIT_MIN_NORMALS:
@@ -205,27 +210,56 @@ def _batch_grid_moments(
 
     Returns the two sum arrays of length steps+1 and the per-gridpoint
     count of paths still finite. Dead paths stop contributing from the
-    step they blow up. The sums are bitwise those of ``np.sum(live_sq)``
-    and ``np.sum(live_sq ** 2)`` over the live rows' squared norms.
+    step they blow up, and gridpoints after the last path dies keep count
+    and sums 0. The sums are bitwise those of ``np.sum(live_sq)`` and
+    ``np.sum(live_sq ** 2)`` over the live rows' squared norms.
+
+    The observer only stores each gridpoint's squared norms, one row of a
+    buffer of at most ``_MOMENT_BYTES``. A full buffer, and the rows left
+    when the walk ends, are summed a block of gridpoints per call; only a
+    gridpoint whose sum is NaN (a blown path's square is NaN, a live one's
+    never) is summed again over its live rows.
     """
-    n_steps = increments.shape[1]
+    batch, n_steps = increments.shape[:2]
     s2 = np.zeros(n_steps + 1)
     s4 = np.zeros(n_steps + 1)
     counts = np.zeros(n_steps + 1, dtype=np.int64)
+    rows = max(1, min(n_steps + 1, _MOMENT_BYTES // (8 * batch)))
+    buf = np.empty((rows, batch))
+    cols = buf[:, :, None]
     add = np.add.reduce
     one_dim = problem.dim_state == 1
+    reached = 0  # gridpoints observed so far
+
+    def reduce_block() -> None:
+        start = (reached - 1) // rows * rows
+        sq, block = buf[: reached - start], slice(start, reached)
+        with np.errstate(over="ignore", invalid="ignore"):
+            add(sq, axis=1, out=s2[block])
+            blown = [(start + i, sq[i][~np.isnan(sq[i])])
+                     for i in np.flatnonzero(np.isnan(s2[block]))]
+            np.multiply(sq, sq, out=sq)
+            add(sq, axis=1, out=s4[block])
+            counts[block] = batch
+            for n, live in blown:
+                s2[n] = add(live)
+                s4[n] = add(live ** 2)
+                counts[n] = live.size
 
     def observe(n, x):
-        sq = x * x
-        sq = sq.reshape(-1) if one_dim else add(sq, axis=1)
-        s2[n] = add(sq)
-        if math.isnan(s2[n]):  # a blown path's square is NaN, a live one never
-            sq = sq[~np.isnan(sq)]
-            s2[n] = add(sq)
-        counts[n] = sq.size
-        s4[n] = add(sq ** 2)
+        nonlocal reached
+        row = n % rows
+        if one_dim:
+            np.multiply(x, x, out=cols[row])
+        else:
+            add(x * x, axis=1, out=buf[row])
+        reached = n + 1
+        if row == rows - 1:
+            reduce_block()
 
     _batch_endpoints(problem, [scheme], increments, h, observe)
+    if reached % rows:
+        reduce_block()
     return s2, s4, counts
 
 

@@ -106,24 +106,41 @@ def _generator() -> np.random.Generator:
     return np.random.Generator(np.random.Philox(0))  # fixed seed: no OS entropy
 
 
-def _draw_increments(gen: np.random.Generator, key, out: np.ndarray) -> np.ndarray:
-    """Fill ``out`` with the standard normals of the stream with Philox ``key``.
+def _restart_state() -> dict:
+    """A Philox state dict at counter 0 with an empty buffer and no key yet.
 
-    ``key`` is the stream's two key words, ideally as Python ints (numpy
-    converts an array row element by element). ``gen`` is restarted at
-    counter 0 with an empty buffer, exactly the state a Philox freshly built
-    from the stream's seed sequence has, so nothing carries over from the
-    stream drawn before. :func:`_scale_increments` turns the normals into
-    increments.
+    This is exactly the state of a Philox freshly built from a stream's seed
+    sequence, once the stream's key is put in ``["state"]["key"]``. Setting
+    ``bit_generator.state`` copies the values out at once, so one dict can
+    restart any number of streams on one thread.
     """
-    gen.bit_generator.state = {
+    return {
         "bit_generator": "Philox",
-        "state": {"counter": (0, 0, 0, 0), "key": key},
+        "state": {"counter": (0, 0, 0, 0), "key": None},
         "buffer": (0, 0, 0, 0),
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,
     }
+
+
+def _draw_increments(
+    gen: np.random.Generator, key, out: np.ndarray, state: Optional[dict] = None
+) -> np.ndarray:
+    """Fill ``out`` with the standard normals of the stream with Philox ``key``.
+
+    ``key`` is the stream's two key words, ideally as Python ints (numpy
+    converts an array row element by element). ``gen`` is restarted from
+    ``state``, a :func:`_restart_state` dict whose key is swapped for
+    ``key`` (a new one where ``None``), so nothing carries over from the
+    stream drawn before. A caller drawing many streams passes one dict for
+    all of them, which saves building it per stream. :func:`_scale_increments`
+    turns the normals into increments.
+    """
+    if state is None:
+        state = _restart_state()
+    state["state"]["key"] = key
+    gen.bit_generator.state = state
     return gen.standard_normal(out=out)
 
 

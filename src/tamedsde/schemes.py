@@ -106,7 +106,7 @@ def tame(v: np.ndarray, h: float) -> np.ndarray:
     entries gives a finite result (see ``_tame``), a row with an infinite or
     NaN entry gives entries of NaN or zero, and nothing warns.
     """
-    if h < 0:
+    if not h >= 0:  # refuses NaN too
         raise ValueError(f"h must be nonnegative, got {h}")
     with np.errstate(over="ignore", invalid="ignore"):
         return _tame(np.asarray(v, dtype=np.float64), h)
@@ -204,7 +204,7 @@ def step_function(scheme: "str | SchemeKind"):
     taming, milstein = kind.taming, kind.is_milstein
 
     def step(problem, x, dW, h):
-        if taming != "none" and h < 0:
+        if taming != "none" and not h >= 0:
             raise ValueError(f"h must be nonnegative, got {h}")
         return _step(problem, x, dW, h, taming, milstein)
 

@@ -499,6 +499,22 @@ def test_two_threads_keep_one_block_live(unstable, monkeypatch):
     assert peak / block < 1.5
 
 
+def test_grid_moments_keep_a_bounded_buffer(stable):
+    """The moment observer sums a bounded block of gridpoints at a time, so a
+    long curve's traced peak stays near its increment block instead of
+    adding a squared norm per path and gridpoint."""
+    steps = 2**12
+    block = CHUNK_PATHS * steps * 8
+    tracemalloc.start()
+    try:
+        mean_square_curve(stable, "semi-tamed-milstein", stable.horizon / steps,
+                          paths=CHUNK_PATHS, seed=SEED)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / block < 1.25
+
+
 def test_stepsize_must_divide_horizon(unstable):
     with pytest.raises(ValueError, match="divide"):
         _study(unstable, "em", [0.3], paths=8, seed=SEED)
@@ -671,6 +687,10 @@ def _with_start(problem, x0, horizon=2.0):
         ("diagonal-2d-large-start", "em", 0.25, "some"),
         ("diagonal-2d-huge-start", "em", 0.25, "none"),
         ("diagonal-2d", "em", 2.0, "all"),  # one step: gridpoints 0 and 1
+        # the observer sums 128 gridpoints per block at batch 64
+        ("stable-1d", "semi-tamed-milstein", 2.0**-7, "all"),  # five blocks and one row
+        ("diagonal-2d", "semi-tamed-euler", 2.0**-7, "all"),  # two blocks and one row
+        ("unstable-1d-long", "em", 0.125, "late"),  # the last path dies at gridpoint 919
     ],
 )
 def test_grid_moments_match_the_defining_formula_bitwise(
@@ -680,6 +700,7 @@ def test_grid_moments_match_the_defining_formula_bitwise(
         "stable-1d": stable,
         "unstable-1d": unstable_long,
         "unstable-1d-huge-start": _with_start(unstable_long, [2.0**300]),
+        "unstable-1d-long": _with_start(unstable_long, [1.0], horizon=128.0),
         "diagonal-2d": _with_start(make_diagonal_2d(), [1.0, 0.5]),
         "diagonal-2d-large-start": _with_start(make_diagonal_2d(), [2.5, 2.5]),
         "diagonal-2d-huge-start": _with_start(make_diagonal_2d(), [2.0**400, 1.0]),
@@ -700,6 +721,9 @@ def test_grid_moments_match_the_defining_formula_bitwise(
         assert np.all(counts == batch)
     elif survivors == "some":
         assert 0 < counts[-1] < batch
+    elif survivors == "late":  # paths still die after the first two blocks
+        rows = analysis._MOMENT_BYTES // (8 * batch)
+        assert counts[rows - 1] > counts[2 * rows] > 0 == counts[-1]
     else:
         assert np.all(counts[1:] == 0) and np.all(s2[1:] == 0.0)
 

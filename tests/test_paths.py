@@ -11,7 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tamedsde import PathBundle, analysis, coarsen, generate_paths
-from tamedsde.paths import _draw_increments, _generator, _scale_increments, _stream_keys
+from tamedsde.paths import (
+    _draw_increments,
+    _generator,
+    _restart_state,
+    _scale_increments,
+    _stream_keys,
+)
 
 from conftest import SEED
 
@@ -120,9 +126,9 @@ def test_draws_match_seed_sequence_bitwise(steps, m):
         assert np.array_equal(bundle.increments.view(np.uint64), expected[i - lo].view(np.uint64))
 
 
-def _restarted_draw(gen, key, steps):
+def _restarted_draw(gen, key, steps, state=None):
     out = np.empty((steps, 1))
-    assert _draw_increments(gen, key, out) is out
+    assert _draw_increments(gen, key, out, state) is out
     return _scale_increments(out, steps, 1.0)
 
 
@@ -137,6 +143,10 @@ def test_restarted_generator_carries_no_state():
     assert np.array_equal(second, _restarted_draw(_generator(), keys[2], 5))
     assert np.array_equal(second, _seed_sequence_draw(SEED, 42, 5, 1, 1.0))
     assert np.array_equal(again, _seed_sequence_draw(SEED, 40, 7, 1, 1.0))
+    state = _restart_state()  # one dict restarts every stream of a slice
+    assert np.array_equal(_restarted_draw(gen, keys[2], 5, state), second)
+    assert np.array_equal(_restarted_draw(gen, keys[0], 7, state), again)
+    assert np.array_equal(_restarted_draw(gen, keys[0], 3, state), first)
 
 
 def test_concurrent_chunk_draws_match_sequential_ones():

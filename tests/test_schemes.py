@@ -73,8 +73,9 @@ def test_tame_hand_value():
 def test_tame_zero_and_negative_h():
     assert np.array_equal(tame(np.array([0.0, 0.0]), 0.5), np.zeros(2))
     assert np.array_equal(tame(np.array([2.0]), 0.0), np.array([2.0]))
-    with pytest.raises(ValueError, match="nonnegative"):
-        tame(np.array([1.0]), -0.1)
+    for v, h in ((np.array([1.0]), -0.1), (np.array([1.0, 2.0]), float("nan"))):
+        with pytest.raises(ValueError, match="nonnegative"):
+            tame(v, h)
 
 
 def test_tame_bounds_vectorized():
@@ -234,13 +235,14 @@ def test_tame_norm_is_monotone_and_paths_agree(a, b, h, sign, d):
 
 
 def test_tamed_steps_keep_the_h_check(unstable):
-    for kind in SchemeKind:
-        step = step_function(kind)
-        if kind.taming == "none":
-            assert np.isfinite(step(unstable, X, DW0, -0.1)).all()
-        else:
-            with pytest.raises(ValueError, match="nonnegative"):
-                step(unstable, X, DW0, -0.1)
+    for h in (-0.1, float("nan")):
+        for kind in SchemeKind:
+            step = step_function(kind)
+            if kind.taming == "none":  # em checks no h: a NaN h gives a NaN state
+                assert np.isfinite(step(unstable, X, DW0, h)).all() == np.isfinite(h)
+            else:
+                with pytest.raises(ValueError, match="nonnegative"):
+                    step(unstable, X, DW0, h)
 
 
 # ------------------------------------------------------------------
