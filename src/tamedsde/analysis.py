@@ -91,7 +91,11 @@ def _steps_for(horizon: float, stepsize: float) -> int:
     """Number of grid steps for ``stepsize``, which must divide ``horizon``."""
     if not stepsize > 0:
         raise ValueError(f"stepsize must be positive, got {stepsize}")
-    ratio = horizon / stepsize
+    ratio = horizon / float(stepsize)  # a float overflows to inf without a warning
+    if not math.isfinite(ratio):
+        raise ValueError(
+            f"stepsize {stepsize} is too small: horizon {horizon} / stepsize overflows"
+        )
     steps = int(round(ratio))
     if steps < 1 or abs(ratio - steps) > 1e-9 * max(1.0, ratio):
         raise ValueError(
@@ -669,11 +673,9 @@ class StabilityCurveEntry:
 
 @dataclass(frozen=True)
 class StabilityReport:
-    """Empirical moment curves, optionally with the closed-form threshold."""
+    """Empirical moment curves, one per (scheme, stepsize) pair."""
 
     entries: list[StabilityCurveEntry]
-    params: Optional[StabilityParams] = None
-    threshold: Optional[StabilityThreshold] = None
 
 
 def stability_study(
@@ -682,7 +684,6 @@ def stability_study(
     stepsizes: Sequence[float],
     paths: int,
     seed: int,
-    params: Optional[StabilityParams] = None,
     threads: int = 1,
 ) -> StabilityReport:
     """Mean-square curves for every (scheme, stepsize) pair on shared noise.
@@ -706,5 +707,4 @@ def stability_study(
         for kind in kinds
         for h in hs
     ]
-    threshold = None if params is None else stability_threshold(params)
-    return StabilityReport(entries=entries, params=params, threshold=threshold)
+    return StabilityReport(entries=entries)

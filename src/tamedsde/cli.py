@@ -91,7 +91,6 @@ _KIND_KEYS = {
             "horizon",
             "output_dir",
             "gamma",
-            "tolerance",
             "sample_low",
             "sample_high",
             "sample_count",
@@ -110,7 +109,6 @@ _NUMBER_RULES = {
     "horizon": dict(positive=True),
     "reference_steps": dict(integral=True, minimum=1),
     "gamma": dict(positive=True),
-    "tolerance": dict(positive=True),
     "sample_low": {},
     "sample_high": {},
     "sample_count": dict(integral=True, minimum=1),
@@ -137,7 +135,6 @@ class ExperimentConfig:
     reference_scheme: str = SchemeKind.SEMI_TAMED_MILSTEIN.value
     stability_params: Optional[StabilityParams] = None
     gamma: float = 1.0
-    tolerance: Optional[float] = None
     sample_low: float = -2.0
     sample_high: float = 2.0
     sample_count: int = 101
@@ -437,7 +434,6 @@ def _run_stability(cfg: ExperimentConfig, problem, threads: int):
         cfg.stepsizes,
         cfg.paths,
         cfg.seed,
-        params=cfg.stability_params,
         threads=threads,
     )
     rows = ["scheme,h,t,mean_square,blown_up_count"]
@@ -504,7 +500,7 @@ def _run_threshold(cfg: ExperimentConfig, problem, threads: int):
 
 def _run_check(cfg: ExperimentConfig, problem, threads: int):
     points = _sample_points(cfg)
-    commutativity = check_commutativity(problem, points, tolerance=cfg.tolerance)
+    commutativity = check_commutativity(problem, points)
     dissipativity = check_dissipativity(problem, cfg.gamma, points)
     lines = [
         f"model={problem.label}",
@@ -560,11 +556,12 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Strong-approximation SDE experiments with tamed schemes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for kind in KINDS:
+    for kind, (required, optional) in _KIND_KEYS.items():
         cmd = sub.add_parser(kind, help=f"run a {kind!r} experiment from a JSON config")
         cmd.add_argument("--config", required=True, help="path to the experiment JSON")
-        cmd.add_argument("--seed", type=int, default=None, help="override the config seed")
-        cmd.add_argument("--paths", type=int, default=None, help="override the path count")
+        for key, text in (("seed", "the config seed"), ("paths", "the path count")):
+            if key in required | optional:
+                cmd.add_argument(f"--{key}", type=int, default=None, help=f"override {text}")
         cmd.add_argument("--out", default=None, help="override the output directory")
         cmd.add_argument(
             "--threads", type=int, default=1,
@@ -592,7 +589,7 @@ def main(argv=None) -> int:
                 f"subcommand {args.command!r}"
             )
         for key in ("seed", "paths"):
-            raw = getattr(args, key)
+            raw = getattr(args, key, None)
             if raw is not None:
                 setattr(cfg, key, _require_number(cfg, raw, f"--{key}", **_NUMBER_RULES[key]))
         if args.out is not None:
@@ -600,7 +597,7 @@ def main(argv=None) -> int:
         if args.threads < 1:
             raise ConfigError("--threads must be >= 1")
         written = run(cfg, threads=args.threads)
-    except (ConfigError, ValueError, EvaluationError, OSError) as exc:
+    except (ConfigError, ValueError, EvaluationError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ConfigError) else 3
     for path in written:

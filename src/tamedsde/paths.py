@@ -38,8 +38,7 @@ class PathBundle:
 
     ``increments[n, j]`` is the j-th Brownian component's increment over
     ``[n*h, (n+1)*h]`` with ``h = horizon / steps_fine``; each entry is
-    N(0, h). ``coarse_factor`` records how many original fine steps one
-    row of this bundle aggregates (1 for freshly generated bundles).
+    N(0, h).
     """
 
     seed: int
@@ -48,7 +47,6 @@ class PathBundle:
     steps_fine: int
     dim_noise: int
     increments: np.ndarray
-    coarse_factor: int = 1
 
     @property
     def step(self) -> float:
@@ -226,6 +224,5 @@ def coarsen(bundle: PathBundle, factor: int) -> PathBundle:
         steps_fine=bundle.steps_fine // factor,
         dim_noise=bundle.dim_noise,
         increments=_coarsen_increments(bundle.increments, factor),
-        coarse_factor=bundle.coarse_factor * factor,
     )
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,12 @@ from tamedsde import SdeProblem, StabilityParams, builtin_problem
 
 # Everything deterministic hangs off this seed.
 SEED = 20260816
+
+# (a, b, c) of each built-in model dX = (aX - cX^5) dt + bX dW
+MODELS = {
+    "ginzburg-landau-unstable": (2.0, 1.0, 1.0),
+    "ginzburg-landau-stable": (-2.0, math.sqrt(2.0), 1.0),
+}
 
 
 @pytest.fixture

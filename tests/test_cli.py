@@ -193,6 +193,11 @@ def test_unknown_scheme_rejected(tmp_path):
             "rho",
             "stability_params.rho must be a number",
         ),
+        (
+            lambda: {"kind": "check", "model": "ginzburg-landau-stable", "tolerance": 1e-3},
+            "tolerance",
+            "unknown key 'tolerance' for kind 'check'",
+        ),
     ],
     ids=[
         "horizon-zero",
@@ -204,6 +209,7 @@ def test_unknown_scheme_rejected(tmp_path):
         "reference-scheme-unknown",
         "stability-params-a-list",
         "param-a-string",
+        "check-tolerance",
     ],
 )
 def test_invalid_values_rejected_at_their_line(tmp_path, payload, anchor, message):
@@ -299,9 +305,21 @@ def test_nonfinite_or_zero_stepsizes_rejected(tmp_path, capsys, stepsizes, shown
     assert not (tmp_path / "out").exists()
 
 
-def test_stepsize_range_keeps_subnormals(tmp_path):
+def test_stepsize_range_keeps_subnormals(tmp_path, capsys):
+    """load_config keeps a subnormal stepsize; a kind that steps refuses it,
+    since horizon / stepsize overflows, at its line with exit 2."""
     path = write_config(tmp_path, threshold_payload(stepsizes="2^-1073..2^-1074"))
     assert load_config(path).stepsizes == [2.0**-1073, 2.0**-1074]
+    out = tmp_path / "out"
+    for stepsizes, shown in (([1e-320], "1e-320"), ("2^-1074..2^-1074", "5e-324")):
+        payload = converge_payload(kind="stability", stepsizes=stepsizes, output_dir=str(out))
+        path = write_config(tmp_path, payload)
+        lineno = line_of(path, '"stepsizes"')
+        assert main(["stability", "--config", path]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {path}:{lineno}: stepsize {shown} is too small"
+        )
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -989,22 +1007,41 @@ def test_main_runtime_failure_is_exit_3(tmp_path, capsys):
     path = write_config(tmp_path, threshold_payload(output_dir=str(blocker / "out")))
     assert main(["threshold", "--config", path]) == 3
     assert "error:" in capsys.readouterr().err
+    # a 2^50-step reference needs an 8 PiB block, whose allocation fails at once
+    payload = converge_payload(
+        paths=1, reference_steps=2**50, output_dir=str(tmp_path / "out")
+    )
+    path = write_config(tmp_path, payload)
+    assert main(["converge", "--config", path]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_main_rejects_bad_overrides(tmp_path, capsys):
     """--seed, --paths and --out obey the config's rules and name the config
-    they override."""
+    they override; a kind without seed and paths keys has no flag for them."""
     out = tmp_path / "out"
-    path = write_config(tmp_path, threshold_payload(output_dir=str(out)))
-    for flag, value, message in [
-        ("--seed", "-1", f"{path}: --seed must be >= 0, got -1"),
-        ("--paths", "0", f"{path}: --paths must be >= 1, got 0"),
-        ("--paths", "4294967297", f"{path}: --paths must be <= 4294967296, got 4294967297"),
-        ("--out", "", f"{path}: --out must be a nonempty string"),
-        ("--threads", "0", "--threads must be >= 1"),
+    converge = write_config(tmp_path, converge_payload(output_dir=str(out)), "converge.json")
+    threshold = write_config(tmp_path, threshold_payload(output_dir=str(out)))
+    for kind, path, flag, value, message in [
+        ("converge", converge, "--seed", "-1", f"{converge}: --seed must be >= 0, got -1"),
+        ("converge", converge, "--paths", "0", f"{converge}: --paths must be >= 1, got 0"),
+        (
+            "converge", converge, "--paths", "4294967297",
+            f"{converge}: --paths must be <= 4294967296, got 4294967297",
+        ),
+        ("threshold", threshold, "--out", "", f"{threshold}: --out must be a nonempty string"),
+        ("threshold", threshold, "--threads", "0", "--threads must be >= 1"),
     ]:
-        assert main(["threshold", "--config", path, flag, value]) == 2
+        assert main([kind, "--config", path, flag, value]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+    check = {"kind": "check", "model": "ginzburg-landau-stable", "output_dir": str(out)}
+    check = write_config(tmp_path, check, "check.json")
+    for kind, path in (("threshold", threshold), ("check", check)):
+        for flag in ("--seed", "--paths"):
+            with pytest.raises(SystemExit) as exc:
+                main([kind, "--config", path, flag, "5"])
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -22,16 +22,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import SEED
+from conftest import MODELS, SEED
 from tamedsde import SchemeKind, SdeProblem, builtin_problem, fit_power_law
 from tamedsde.analysis import _batch_endpoints, _stack_increments
 from tamedsde.paths import _coarsen_increments
-
-# (a, b, c) of each built-in model
-MODELS = {
-    "ginzburg-landau-unstable": (2.0, 1.0, 1.0),
-    "ginzburg-landau-stable": (-2.0, math.sqrt(2.0), 1.0),
-}
 
 
 def exact_terminal(a, b, c, x0, increments, horizon):

@@ -233,7 +233,6 @@ def test_coarsen_telescopes():
     fine = generate_paths(seed=SEED, path_index=2, steps_fine=256, dim_noise=2, horizon=1.0)
     coarse = coarsen(fine, 4)
     assert coarse.steps_fine == 64
-    assert coarse.coarse_factor == 4
     assert coarse.step == pytest.approx(1.0 / 64)
     # block sums reproduce the coarse increments exactly
     manual = fine.increments.reshape(64, 4, 2).sum(axis=1)
