@@ -9,7 +9,7 @@ the fine block, which the propagator coarsens a tile at a time, so a chunk
 never holds a coarse block beside its fine one.
 The root-mean-square terminal gap over paths is then fitted to a power law
 ``e(h) = C h^r`` in log-log space. Every driver here refuses a Milstein
-scheme, as study or reference, on noise not known to commute.
+scheme, as study or reference, on noise that fails the commutativity check.
 
 Sample paths are processed in fixed-size chunks (``CHUNK_PATHS`` paths per
 chunk) whose boundaries depend only on the path index. Chunks run one after

@@ -528,8 +528,9 @@ _RUNNERS = {
 
 
 def run(config: ExperimentConfig, threads: int = 1) -> list[str]:
-    """Execute one experiment; returns the list of files written. Config and
-    grid errors raise before the output directory is created."""
+    """Execute one experiment; returns the list of files written. The output
+    directory is made just before the first file is written, so a run that
+    fails before then, on its config or at run time, leaves none behind."""
     if config.output_dir is None:
         raise ConfigError(
             f"{config.source_path}: no output directory (set output_dir or pass --out)"
@@ -541,9 +542,10 @@ def run(config: ExperimentConfig, threads: int = 1) -> list[str]:
     if "model" in _KIND_KEYS[config.kind][0]:
         problem = builtin_problem(config.model, horizon=config.horizon)
         _validate_grid(config, problem)
-    os.makedirs(config.output_dir, exist_ok=True)
     written = []
     for name, lines in runner(config, problem, threads):
+        if not written:
+            os.makedirs(config.output_dir, exist_ok=True)
         path = os.path.join(config.output_dir, name)
         _write_lines(path, lines)
         written.append(path)

@@ -21,7 +21,9 @@ supply these in closed form through ``diffusion_derivative_product``;
 otherwise a central finite difference is used. The symmetric-product form
 of the Milstein correction is valid only for commutative noise
 (``L^j1 g_j2 == L^j2 g_j1``); :func:`check_commutativity` tests that
-numerically on user-supplied sample points.
+numerically on sample points. A problem declares nothing about its noise:
+on more than one noise, the Milstein schemes run only where the check
+passes on a fixed cloud of states around the initial value.
 
 All coefficient callables must accept arrays whose *last* axis is the state
 dimension and broadcast over any leading axes (the Monte Carlo drivers
@@ -34,7 +36,7 @@ Noise columns are indexed 0-based: ``0 <= j < dim_noise``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -93,11 +95,6 @@ class SdeProblem:
         Positive terminal time T.
     label : str
         Human-readable name used in reports and CSV output.
-    commutative : bool or None
-        Known-structure flag. ``True`` declares the noise commutative
-        (trusted by the Milstein schemes), ``False`` declares it not,
-        ``None`` means unknown and triggers a numerical check at first
-        Milstein use. Single-noise problems are always commutative.
     """
 
     dim_state: int
@@ -111,7 +108,6 @@ class SdeProblem:
     diffusion_derivative_product: Optional[
         Callable[[np.ndarray, int, int], np.ndarray]
     ] = None
-    commutative: Optional[bool] = field(default=None)
 
     def __post_init__(self) -> None:
         if not isinstance(self.dim_state, (int, np.integer)) or self.dim_state < 1:
@@ -149,10 +145,6 @@ class SdeProblem:
                     f"diffusion_column(x, {j}) must return a length-"
                     f"{self.dim_state} vector, got shape {col.shape}"
                 )
-
-        if self.dim_noise == 1 and self.commutative is None:
-            # One driving noise always commutes with itself.
-            object.__setattr__(self, "commutative", True)
 
 
 @dataclass(frozen=True)
@@ -265,37 +257,46 @@ def _sample_states(problem: SdeProblem, sample_points) -> np.ndarray:
 
 
 def check_commutativity(
-    problem: SdeProblem,
-    sample_points: Sequence[np.ndarray] | np.ndarray,
-    tolerance: Optional[float] = None,
+    problem: SdeProblem, sample_points: Sequence[np.ndarray] | np.ndarray
 ) -> CommutativityReport:
     """Test ``L^j1 g_j2 == L^j2 g_j1`` numerically on sample states.
 
     The maximum Euclidean norm of the mismatch over all unordered column
-    pairs and all sample points is compared against ``tolerance``
-    (defaults: 1e-8 with a closed-form derivative product, 1e-4 with the
-    finite-difference fallback).
+    pairs and all sample points is compared against the tolerance: 1e-8
+    with a closed-form derivative product, 1e-4 with the finite-difference
+    fallback. A non-finite mismatch counts as an infinite violation.
     """
-    if tolerance is None:
-        tolerance = (
-            DEFAULT_TOLERANCE_CLOSED_FORM
-            if problem.diffusion_derivative_product is not None
-            else DEFAULT_TOLERANCE_FINITE_DIFF
-        )
+    tolerance = (
+        DEFAULT_TOLERANCE_CLOSED_FORM
+        if problem.diffusion_derivative_product is not None
+        else DEFAULT_TOLERANCE_FINITE_DIFF
+    )
     points = _sample_states(problem, sample_points)
     worst = 0.0
     for j1 in range(problem.dim_noise):
         for j2 in range(j1 + 1, problem.dim_noise):
             forward = levy_product_coefficient(problem, points, j1, j2)
             backward = levy_product_coefficient(problem, points, j2, j1)
-            gap = np.sqrt(np.sum((forward - backward) ** 2, axis=-1))
-            worst = max(worst, float(np.max(gap)))
+            with np.errstate(over="ignore", invalid="ignore"):
+                gap = np.sqrt(np.sum((forward - backward) ** 2, axis=-1))
+            # np.max of a gap holding a NaN is NaN, which max() would drop.
+            peak = float(np.max(gap))
+            worst = max(worst, math.inf if math.isnan(peak) else peak)
     return CommutativityReport(
         max_violation=worst,
         sample_count=points.shape[0],
         passed=worst <= tolerance,
-        tolerance=float(tolerance),
+        tolerance=tolerance,
     )
+
+
+def _default_check_points(problem: SdeProblem) -> np.ndarray:
+    """The 16 states the Milstein gate checks: a deterministic cloud around
+    the initial state, scaled to its size."""
+    rng = np.random.default_rng(12345)
+    scale = 1.0 + float(np.sqrt(np.sum(problem.initial_value**2)))
+    offsets = rng.standard_normal((16, problem.dim_state))
+    return problem.initial_value[None, :] + scale * offsets
 
 
 _SQRT2 = float(np.sqrt(2.0))
@@ -384,5 +385,4 @@ def builtin_problem(name: str, horizon: Optional[float] = None) -> SdeProblem:
         initial_value=np.array([1.0]),
         horizon=default_horizon if horizon is None else horizon,
         label=name,
-        commutative=True,
     )

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SdeProblem, _levy_product, check_commutativity
+from .model import SdeProblem, _default_check_points, _levy_product, check_commutativity
 from .paths import PathBundle, _coarsen_increments
 
 # Upper bound on the bytes of the time-major increment tile _propagate walks,
@@ -211,30 +211,19 @@ def step_function(scheme: "str | SchemeKind"):
     return step
 
 
-def _default_check_points(problem: SdeProblem, count: int = 16) -> np.ndarray:
-    # Deterministic cloud around the initial state, scaled to its size.
-    rng = np.random.default_rng(12345)
-    scale = 1.0 + float(np.sqrt(np.sum(problem.initial_value**2)))
-    offsets = rng.standard_normal((count, problem.dim_state))
-    return problem.initial_value[None, :] + scale * offsets
-
-
 def require_supported(problem: SdeProblem, scheme: "str | SchemeKind") -> SchemeKind:
     """Validate that ``scheme`` may be applied to ``problem``.
 
-    Milstein variants demand commutative noise: a multi-noise problem must
-    declare ``commutative=True`` or pass the sampled numerical check. Any
-    other problem is refused, with no override, since the symmetric
-    correction is not the Milstein term on noise that does not commute.
+    Milstein variants demand commutative noise. One noise always commutes
+    with itself, so no coefficient is evaluated; on more than one, the
+    problem must pass :func:`check_commutativity` on a fixed cloud of
+    states. Any other problem is refused, with no override, since the
+    symmetric correction is not the Milstein term on noise that does not
+    commute.
     """
     scheme = SchemeKind.from_name(scheme)
-    if not scheme.is_milstein or problem.commutative is True:
+    if not scheme.is_milstein or problem.dim_noise == 1:
         return scheme
-    if problem.commutative is False:
-        raise ValueError(
-            f"problem {problem.label!r} declares non-commutative noise; "
-            f"{scheme.value} requires commutative noise"
-        )
     report = check_commutativity(problem, _default_check_points(problem))
     if not report.passed:
         raise ValueError(
@@ -279,8 +268,8 @@ def integrate(
     ------
     ValueError
         If the bundle's noise dimension does not match the problem's, or
-        a Milstein variant is requested for noise that is not known to
-        commute (see :func:`require_supported`); no flag overrides this.
+        a Milstein variant is requested for noise that fails the
+        commutativity check (see :func:`require_supported`).
     """
     scheme = require_supported(problem, scheme)
     if bundle.dim_noise != problem.dim_noise:

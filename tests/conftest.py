@@ -114,6 +114,23 @@ def make_swapped_2d() -> SdeProblem:
     )
 
 
+def make_nan_gap() -> SdeProblem:
+    """Two noises whose derivative products are sqrt(x) for (0, 1) and -x
+    for (1, 0): the gap is x + sqrt(x), and NaN at every negative state."""
+    products = {(0, 1): np.sqrt, (1, 0): np.negative}
+    return SdeProblem(
+        dim_state=1,
+        dim_noise=2,
+        phi=lambda x: -x,
+        varphi=lambda x: 0.0 * x,
+        diffusion_column=lambda x, j: x,
+        diffusion_derivative_product=lambda x, j1, j2: products[j1, j2](x),
+        initial_value=np.array([1.0]),
+        horizon=1.0,
+        label="nan-gap",
+    )
+
+
 @pytest.fixture
 def diagonal_2d():
     return make_diagonal_2d()

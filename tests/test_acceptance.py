@@ -166,7 +166,6 @@ def test_pairwise_milstein_term_exact_order():
         diffusion_derivative_product=lambda x, j1, j2: sigma[j1] * sigma[j2] * x,
         initial_value=np.array([1.0]),
         horizon=1.0,
-        commutative=True,
     )
     paths, fine = 2000, 2**8
     stepsizes = [2.0**-k for k in range(3, 9)]

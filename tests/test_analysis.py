@@ -33,7 +33,7 @@ from tamedsde import analysis, schemes
 from tamedsde.analysis import CHUNK_PATHS
 from tamedsde.paths import _coarsen_increments
 
-from conftest import SEED, make_diagonal_2d
+from conftest import MODELS, SEED, make_diagonal_2d
 
 
 # ------------------------------------------------------------------
@@ -738,6 +738,15 @@ def test_grid_moments_match_the_defining_formula_bitwise(
 # ------------------------------------------------------------------
 # Closed-form threshold and decay rate
 # ------------------------------------------------------------------
+
+def test_stable_params_match_the_stable_model(stable_params, stable):
+    """The fixture's constants are those of dX = (aX - cX^5) dt + bX dW."""
+    a, b, c = MODELS["ginzburg-landau-stable"]
+    p = stable_params
+    assert (p.rho, p.theta, p.lip_K, p.v, p.v_bar) == (-a, b, abs(a), c, c)
+    # the built-in's derivative-product factor (b**2 rounds to 2.0000000000000004)
+    assert p.beta == stable.diffusion_derivative_product(np.array([1.0]), 0, 0)[0] == 2.0
+
 
 def test_threshold_hand_values(stable_params):
     thr = stability_threshold(stable_params)

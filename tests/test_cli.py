@@ -424,6 +424,12 @@ def test_shipped_configs_parse():
         assert cfg.kind in KINDS
 
 
+@pytest.mark.parametrize("config", ["stability_grid.json", "threshold_stable.json"])
+def test_shipped_stability_params_equal_the_fixture(config, stable_params):
+    """The hand-typed constants of the shipped configs are the tested ones."""
+    assert load_config(str(REPO / "configs" / config)).stability_params == stable_params
+
+
 def _run_experiments_script():
     spec = importlib.util.spec_from_file_location(
         "run_experiments", REPO / "scripts" / "run_experiments.py"
@@ -595,7 +601,7 @@ def test_converge_nan_fit_writes_nothing(tmp_path, capsys, monkeypatch):
     path = write_config(tmp_path, converge_payload(paths=8, output_dir=str(out), gnuplot=True))
     assert main(["converge", "--config", path]) == 3
     assert "refusing to write NaN" in capsys.readouterr().err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_converge_without_a_possible_fit_writes_fit_none(tmp_path, monkeypatch):
@@ -932,7 +938,7 @@ def test_threshold_nan_exits_3_and_writes_nothing(tmp_path, capsys, monkeypatch)
     path = write_config(tmp_path, threshold_payload(output_dir=str(out)))
     assert main(["threshold", "--config", path]) == 3
     assert "refusing to write NaN" in capsys.readouterr().err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_check_output_stable(tmp_path):
@@ -1002,18 +1008,26 @@ def test_main_unreadable_config_is_exit_2(tmp_path, capsys):
 
 
 def test_main_runtime_failure_is_exit_3(tmp_path, capsys):
+    """A run that fails before its first file exits 3 and leaves no output
+    directory."""
     blocker = tmp_path / "blocker"
     blocker.write_text("not a directory\n")
     path = write_config(tmp_path, threshold_payload(output_dir=str(blocker / "out")))
     assert main(["threshold", "--config", path]) == 3
     assert "error:" in capsys.readouterr().err
-    # a 2^50-step reference needs an 8 PiB block, whose allocation fails at once
-    payload = converge_payload(
-        paths=1, reference_steps=2**50, output_dir=str(tmp_path / "out")
-    )
-    path = write_config(tmp_path, payload)
-    assert main(["converge", "--config", path]) == 3
-    assert capsys.readouterr().err.startswith("error: ")
+    out = tmp_path / "out"
+    for kind, payload in [
+        # a 2^50-step reference needs an 8 PiB block, whose allocation fails at once
+        ("converge", converge_payload(paths=1, reference_steps=2**50, output_dir=str(out))),
+        # 5e300 steps pass the grid check but no array has that many rows
+        (
+            "stability",
+            converge_payload(kind="stability", stepsizes=[1e-300], output_dir=str(out)),
+        ),
+    ]:
+        assert main([kind, "--config", write_config(tmp_path, payload)]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
 
 def test_main_rejects_bad_overrides(tmp_path, capsys):

@@ -130,7 +130,6 @@ def test_pairwise_milstein_term_on_a_superlinear_drift():
         diffusion_derivative_product=lambda x, j1, j2: b[j1] * b[j2] * x,
         initial_value=np.array([1.0]),
         horizon=1.0,
-        commutative=True,
     )
     inc = _increments(500, 4096, 1.0, dim_noise=2)
     exact = exact_terminal(a, b, c, 1.0, inc, 1.0)

@@ -24,7 +24,7 @@ from tamedsde import (
 )
 from tamedsde.model import FD_RELATIVE_STEP, _fd_levy_product
 
-from conftest import SEED, make_diagonal_2d, make_swapped_2d
+from conftest import SEED, make_diagonal_2d, make_nan_gap, make_swapped_2d
 
 
 # ------------------------------------------------------------------
@@ -54,7 +54,7 @@ def test_builtin_defaults():
     assert unstable.initial_value == pytest.approx([1.0])
     stable = builtin_problem("ginzburg-landau-stable")
     assert stable.horizon == 5.0
-    assert stable.commutative is True
+    assert check_commutativity(stable, stable.initial_value).passed
 
 
 def test_builtin_horizon_override():
@@ -155,8 +155,11 @@ def test_rejects_miswired_coefficients():
 
 
 def test_single_noise_marks_commutative():
+    """One noise commutes with itself, with nothing declared: the check of a
+    problem without a closed form passes with a zero violation."""
     problem = SdeProblem(**_valid_kwargs())
-    assert problem.commutative is True
+    report = check_commutativity(problem, np.array([[0.5], [-3.0]]))
+    assert (report.max_violation, report.passed, report.tolerance) == (0.0, True, 1e-4)
 
 
 # ------------------------------------------------------------------
@@ -302,6 +305,20 @@ def test_swapped_noise_fails():
     assert not report.passed
     # L^0 g_1 = (0, x_2) vs L^1 g_0 = (x_1, 0): gap norm sqrt(1 + 4)
     assert report.max_violation == pytest.approx(np.sqrt(5.0), rel=1e-3)
+
+
+def test_non_finite_gap_fails_the_check():
+    """sqrt(x) is NaN at a negative state; that NaN gap must not hide the
+    gap of 2 at x = 1, and counts as an infinite violation itself."""
+    problem = make_nan_gap()
+    report = check_commutativity(problem, np.array([[1.0]]))
+    assert (report.max_violation, report.passed) == (2.0, False)
+    report = check_commutativity(problem, np.arange(-3.0, 4.0).reshape(-1, 1))
+    assert (report.max_violation, report.passed) == (math.inf, False)
+    assert report.sample_count == 7
+    # the squared gap overflows at 1e200: a failure, and no float warning
+    report = check_commutativity(problem, np.array([[1e200]]))
+    assert (report.max_violation, report.passed) == (math.inf, False)
 
 
 def test_closed_form_default_tolerance(stable):

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,7 +25,7 @@ from tamedsde import analysis, schemes
 from tamedsde.model import _levy_product
 from tamedsde.paths import _coarsen_increments
 
-from conftest import SEED, make_diagonal_2d, make_gbm, make_swapped_2d
+from conftest import SEED, make_diagonal_2d, make_gbm, make_nan_gap, make_swapped_2d
 
 X = np.array([1.0])
 H = 0.1
@@ -347,7 +345,6 @@ def _narrow_product_2d():
         diffusion_derivative_product=lambda x, j1, j2: scale[j1] * scale[j2] * x[..., :1],
         initial_value=np.array([1.0, 0.5]),
         horizon=1.0,
-        commutative=True,
     )
 
 
@@ -491,29 +488,42 @@ def test_euler_ignores_commutativity(swapped_2d):
     assert require_supported(swapped_2d, "em") is SchemeKind.EULER_MARUYAMA
 
 
-def test_declared_noncommutative_skips_sampling():
+def test_milstein_refused_on_a_nan_gap():
+    # the default cloud around x0 = 1 holds negative states, where the gap is NaN
+    with pytest.raises(ValueError, match="max violation inf > tolerance"):
+        require_supported(make_nan_gap(), "semi-tamed-milstein")
+
+
+def test_gate_evaluates_nothing_on_one_noise():
+    """One noise always commutes, so the gate runs no check: after
+    construction, no diffusion column or derivative product is evaluated."""
     calls = []
 
-    def counting(x, j1, j2):
-        calls.append((j1, j2))
-        return np.zeros_like(x)
+    def column(x, j):
+        calls.append(j)
+        return x
 
-    base = make_swapped_2d()
-    problem = dataclasses.replace(
-        base, commutative=False, diffusion_derivative_product=counting
+    def product(x, j1, j2):
+        calls.append((j1, j2))
+        return x
+
+    problem = SdeProblem(
+        dim_state=1,
+        dim_noise=1,
+        phi=lambda x: -x,
+        varphi=lambda x: -(x**3),
+        diffusion_column=column,
+        diffusion_derivative_product=product,
+        initial_value=np.array([1.0]),
+        horizon=1.0,
     )
-    with pytest.raises(ValueError, match="declares non-commutative"):
-        require_supported(problem, "tamed-milstein")
+    calls.clear()
+    for kind in (SchemeKind.TAMED_MILSTEIN, SchemeKind.SEMI_TAMED_MILSTEIN):
+        assert require_supported(problem, kind.value) is kind
     assert calls == []
 
 
-def test_declared_commutative_trusted(diagonal_2d):
-    problem = dataclasses.replace(diagonal_2d, commutative=True)
-    assert require_supported(problem, "tamed-milstein") is SchemeKind.TAMED_MILSTEIN
-
-
 def test_sampled_check_passes_diagonal(diagonal_2d):
-    assert diagonal_2d.commutative is None
     kind = require_supported(diagonal_2d, "semi-tamed-milstein")
     assert kind is SchemeKind.SEMI_TAMED_MILSTEIN
 
