@@ -48,6 +48,7 @@ from typing import Optional
 import numpy as np
 
 from .analysis import (
+    CHUNK_PATHS,
     StabilityParams,
     _nested_steps,
     _steps_for,
@@ -366,14 +367,24 @@ def _sample_points(cfg: ExperimentConfig):
 
 
 def _validate_grid(cfg: ExperimentConfig, problem) -> None:
+    """Refuse a grid that does not fit the horizon, or whose increment block
+    (one chunk of paths, or one path for simulate) numpy cannot index."""
     try:
         if cfg.kind == "converge":
-            _nested_steps(problem.horizon, cfg.stepsizes, cfg.reference_steps)
+            _, steps = _nested_steps(problem.horizon, cfg.stepsizes, cfg.reference_steps)
         else:
-            for h in cfg.stepsizes:
-                _steps_for(problem.horizon, h)
+            # a check config has no stepsizes, and so no block
+            steps = max((_steps_for(problem.horizon, h) for h in cfg.stepsizes), default=0)
     except ValueError as exc:
         raise _fail(cfg, "stepsizes", str(exc)) from None
+    rows = 1 if cfg.kind == "simulate" else min(cfg.paths, CHUNK_PATHS)
+    size = rows * steps * problem.dim_noise * 8
+    if size > np.iinfo(np.intp).max:
+        raise _fail(
+            cfg, "stepsizes" if cfg.reference_steps is None else "reference_steps",
+            f"the finest grid's increment block for {rows} path(s) needs about "
+            f"2^{math.log2(size):.0f} bytes, more than numpy can index",
+        )
 
 
 # Each runner takes the config, the problem run() built from it (None for

@@ -16,14 +16,13 @@ additionally need the products
 
     (L^j1 g_j2)(x) = sum_k g[k, j1](x) * d g_j2 / d x_k (x),
 
-i.e. the directional derivative of column j2 along column j1. Problems may
-supply these in closed form through ``diffusion_derivative_product``;
-otherwise a central finite difference is used. The symmetric-product form
-of the Milstein correction is valid only for commutative noise
-(``L^j1 g_j2 == L^j2 g_j1``); :func:`check_commutativity` tests that
-numerically on sample points. A problem declares nothing about its noise:
-on more than one noise, the Milstein schemes run only where the check
-passes on a fixed cloud of states around the initial value.
+i.e. the directional derivative of column j2 along column j1. Every problem
+supplies these in closed form through ``diffusion_derivative_product``. The
+symmetric-product form of the Milstein correction is valid only for
+commutative noise (``L^j1 g_j2 == L^j2 g_j1``); :func:`check_commutativity`
+tests that numerically on sample points. A problem declares nothing about
+its noise: on more than one noise, the Milstein schemes run only where the
+check passes on a fixed cloud of states around the initial value.
 
 All coefficient callables must accept arrays whose *last* axis is the state
 dimension and broadcast over any leading axes (the Monte Carlo drivers
@@ -35,6 +34,7 @@ Noise columns are indexed 0-based: ``0 <= j < dim_noise``.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -51,17 +51,10 @@ __all__ = [
     "builtin_problem",
     "builtin_problem_names",
     "DEFAULT_TOLERANCE_CLOSED_FORM",
-    "DEFAULT_TOLERANCE_FINITE_DIFF",
 ]
 
-# Relative step for the finite-difference fallback; the actual step is
-# FD_RELATIVE_STEP * max(1, ||x||) along the direction g_j1(x).
-FD_RELATIVE_STEP = 1e-6
-
-# Default commutativity tolerances: tight when derivative products come in
-# closed form, looser when they go through the finite-difference fallback.
+# Commutativity tolerance on the norm of ``L^j1 g_j2 - L^j2 g_j1``.
 DEFAULT_TOLERANCE_CLOSED_FORM = 1e-8
-DEFAULT_TOLERANCE_FINITE_DIFF = 1e-4
 
 
 class EvaluationError(RuntimeError):
@@ -86,9 +79,9 @@ class SdeProblem:
     diffusion_column : callable
         ``diffusion_column(x, j)`` returns the j-th diffusion column
         g_j(x) as an (..., d) array, for 0 <= j < dim_noise.
-    diffusion_derivative_product : callable, optional
-        Closed form for ``(L^j1 g_j2)(x)``; signature ``(x, j1, j2)``.
-        When omitted, a central finite difference is used instead.
+    diffusion_derivative_product : callable
+        Closed form for ``(L^j1 g_j2)(x)``; signature ``(x, j1, j2)``,
+        returning an (..., d) array for every ordered pair of noise indices.
     initial_value : array_like
         Deterministic initial state of length d.
     horizon : float
@@ -102,12 +95,10 @@ class SdeProblem:
     phi: Callable[[np.ndarray], np.ndarray]
     varphi: Callable[[np.ndarray], np.ndarray]
     diffusion_column: Callable[[np.ndarray, int], np.ndarray]
+    diffusion_derivative_product: Callable[[np.ndarray, int, int], np.ndarray]
     initial_value: np.ndarray
     horizon: float
     label: str = "sde-problem"
-    diffusion_derivative_product: Optional[
-        Callable[[np.ndarray, int, int], np.ndarray]
-    ] = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.dim_state, (int, np.integer)) or self.dim_state < 1:
@@ -130,20 +121,21 @@ class SdeProblem:
         object.__setattr__(self, "initial_value", x0)
 
         # Fail fast on miswired coefficients: every callable must return a
-        # length-d vector at the initial state.
-        for name, fn in (("phi", self.phi), ("varphi", self.varphi)):
-            out = np.asarray(fn(x0), dtype=np.float64)
+        # length-d vector at the initial state, for every noise index.
+        noise = range(self.dim_noise)
+        calls = [("phi", self.phi, ()), ("varphi", self.varphi, ())]
+        calls += [("diffusion_column", self.diffusion_column, (j,)) for j in noise]
+        calls += [
+            ("diffusion_derivative_product", self.diffusion_derivative_product, pair)
+            for pair in itertools.product(noise, repeat=2)
+        ]
+        for name, fn, index in calls:
+            out = np.asarray(fn(x0, *index), dtype=np.float64)
             if out.shape != (self.dim_state,):
+                call = ", ".join(["x", *map(str, index)])
                 raise ValueError(
-                    f"{name} must map length-{self.dim_state} states to "
-                    f"length-{self.dim_state} vectors, got shape {out.shape}"
-                )
-        for j in range(self.dim_noise):
-            col = np.asarray(self.diffusion_column(x0, j), dtype=np.float64)
-            if col.shape != (self.dim_state,):
-                raise ValueError(
-                    f"diffusion_column(x, {j}) must return a length-"
-                    f"{self.dim_state} vector, got shape {col.shape}"
+                    f"{name}({call}) must return a length-{self.dim_state} "
+                    f"vector at the initial state, got shape {out.shape}"
                 )
 
 
@@ -190,59 +182,24 @@ def _check_noise_index(problem: SdeProblem, j: int, name: str) -> None:
         )
 
 
-def _fd_levy_product(
-    problem: SdeProblem, x: np.ndarray, j1: int, j2: int
-) -> np.ndarray:
-    """Central finite difference for (L^j1 g_j2)(x).
-
-    Differentiates g_j2 along the direction g_j1(x) with step
-    FD_RELATIVE_STEP * max(1, ||x||); exact for constant directions and
-    second-order accurate otherwise.
-    """
-    direction = np.asarray(problem.diffusion_column(x, j1), dtype=np.float64)
-    norm_x = np.sqrt(np.sum(x * x, axis=-1, keepdims=True))
-    eps = FD_RELATIVE_STEP * np.maximum(1.0, norm_x)
-    upper = np.asarray(problem.diffusion_column(x + eps * direction, j2), dtype=np.float64)
-    lower = np.asarray(problem.diffusion_column(x - eps * direction, j2), dtype=np.float64)
-    return (upper - lower) / (2.0 * eps)
-
-
 def _levy_product(problem: SdeProblem, x: np.ndarray, j1: int, j2: int) -> np.ndarray:
-    """``(L^j1 g_j2)(x)`` without index or finiteness checks.
+    """``(L^j1 g_j2)(x)`` without index checks.
 
     The step kernel uses this: on a path that is blowing up, a non-finite
     value flows into the state and is counted as a blow-up.
     """
-    if problem.diffusion_derivative_product is not None:
-        return np.asarray(
-            problem.diffusion_derivative_product(x, j1, j2), dtype=np.float64
-        )
-    return _fd_levy_product(problem, x, j1, j2)
+    return np.asarray(problem.diffusion_derivative_product(x, j1, j2), dtype=np.float64)
 
 
 def levy_product_coefficient(
     problem: SdeProblem, x: np.ndarray, j1: int, j2: int
 ) -> np.ndarray:
-    """Evaluate the Milstein coefficient ``(L^j1 g_j2)(x)``.
-
-    Uses the problem's closed form when present, otherwise the central
-    finite-difference fallback. Noise indices are 0-based.
-
-    Raises
-    ------
-    EvaluationError
-        If the finite-difference fallback hits a non-finite value.
-    """
+    """Evaluate the Milstein coefficient ``(L^j1 g_j2)(x)`` from the
+    problem's closed form. Noise indices are 0-based."""
     _check_noise_index(problem, j1, "j1")
     _check_noise_index(problem, j2, "j2")
     with np.errstate(over="ignore", invalid="ignore"):
-        value = _levy_product(problem, np.asarray(x, dtype=np.float64), j1, j2)
-    if problem.diffusion_derivative_product is None and not np.all(np.isfinite(value)):
-        raise EvaluationError(
-            f"finite-difference evaluation of the diffusion derivative product "
-            f"hit a non-finite value on problem {problem.label!r}"
-        )
-    return value
+        return _levy_product(problem, np.asarray(x, dtype=np.float64), j1, j2)
 
 
 def _sample_states(problem: SdeProblem, sample_points) -> np.ndarray:
@@ -262,15 +219,10 @@ def check_commutativity(
     """Test ``L^j1 g_j2 == L^j2 g_j1`` numerically on sample states.
 
     The maximum Euclidean norm of the mismatch over all unordered column
-    pairs and all sample points is compared against the tolerance: 1e-8
-    with a closed-form derivative product, 1e-4 with the finite-difference
-    fallback. A non-finite mismatch counts as an infinite violation.
+    pairs and all sample points is compared against
+    ``DEFAULT_TOLERANCE_CLOSED_FORM``. A non-finite mismatch counts as an
+    infinite violation.
     """
-    tolerance = (
-        DEFAULT_TOLERANCE_CLOSED_FORM
-        if problem.diffusion_derivative_product is not None
-        else DEFAULT_TOLERANCE_FINITE_DIFF
-    )
     points = _sample_states(problem, sample_points)
     worst = 0.0
     for j1 in range(problem.dim_noise):
@@ -285,8 +237,8 @@ def check_commutativity(
     return CommutativityReport(
         max_violation=worst,
         sample_count=points.shape[0],
-        passed=worst <= tolerance,
-        tolerance=tolerance,
+        passed=worst <= DEFAULT_TOLERANCE_CLOSED_FORM,
+        tolerance=DEFAULT_TOLERANCE_CLOSED_FORM,
     )
 
 

@@ -72,11 +72,19 @@ def gbm():
 
 
 def make_diagonal_2d(sigma=(0.5, 1.5)) -> SdeProblem:
-    """Two independent noises acting on their own coordinates (commutative)."""
+    """Two independent noises acting on their own coordinates (commutative):
+    g_j = sigma_j x_j e_j, so L^j1 g_j2 = sigma_j^2 x_j e_j if j1 == j2 = j,
+    and 0 otherwise."""
 
     def diffusion(x, j):
         out = np.zeros_like(x)
         out[..., j] = sigma[j] * x[..., j]
+        return out
+
+    def product(x, j1, j2):
+        out = np.zeros_like(x)
+        if j1 == j2:
+            out[..., j1] = sigma[j1] ** 2 * x[..., j1]
         return out
 
     return SdeProblem(
@@ -85,6 +93,7 @@ def make_diagonal_2d(sigma=(0.5, 1.5)) -> SdeProblem:
         phi=lambda x: -x,
         varphi=lambda x: -(x**3),
         diffusion_column=diffusion,
+        diffusion_derivative_product=product,
         initial_value=np.array([1.0, 0.5]),
         horizon=1.0,
         label="diagonal-2d",
@@ -92,7 +101,8 @@ def make_diagonal_2d(sigma=(0.5, 1.5)) -> SdeProblem:
 
 
 def make_swapped_2d() -> SdeProblem:
-    """g_0 = (x_2, 0), g_1 = (0, x_1): the classic non-commutative pair."""
+    """g_0 = (x_2, 0), g_1 = (0, x_1): the classic non-commutative pair.
+    L^0 g_1 = (0, x_2) and L^1 g_0 = (x_1, 0); L^j g_j = 0."""
 
     def diffusion(x, j):
         out = np.zeros_like(x)
@@ -102,15 +112,54 @@ def make_swapped_2d() -> SdeProblem:
             out[..., 1] = x[..., 0]
         return out
 
+    def product(x, j1, j2):
+        out = np.zeros_like(x)
+        if (j1, j2) == (0, 1):
+            out[..., 1] = x[..., 1]
+        elif (j1, j2) == (1, 0):
+            out[..., 0] = x[..., 0]
+        return out
+
     return SdeProblem(
         dim_state=2,
         dim_noise=2,
         phi=lambda x: -x,
         varphi=lambda x: 0.0 * x,
         diffusion_column=diffusion,
+        diffusion_derivative_product=product,
         initial_value=np.array([1.0, 2.0]),
         horizon=1.0,
         label="swapped-2d",
+    )
+
+
+def make_cubic_noise() -> SdeProblem:
+    """dX = -X^3 dt + X^3 dW: the diffusion grows fast enough to blow paths
+    up, and L g = g g' = 3 x^5."""
+    return SdeProblem(
+        dim_state=1,
+        dim_noise=1,
+        phi=lambda x: 0.0 * x,
+        varphi=lambda x: -(x**3),
+        diffusion_column=lambda x, j: x**3,
+        diffusion_derivative_product=lambda x, j1, j2: 3.0 * x**5,
+        initial_value=np.array([1.0]),
+        horizon=4.0,
+    )
+
+
+def make_two_noise_quintic(a=2.0, b=(0.6, 0.8), c=1.0) -> SdeProblem:
+    """dX = (aX - cX^5) dt + b_1 X dW_1 + b_2 X dW_2: commuting noises with
+    L^j1 g_j2 = b_j1 b_j2 x."""
+    return SdeProblem(
+        dim_state=1,
+        dim_noise=2,
+        phi=lambda x: a * x,
+        varphi=lambda x: -c * x**5,
+        diffusion_column=lambda x, j: b[j] * x,
+        diffusion_derivative_product=lambda x, j1, j2: b[j1] * b[j2] * x,
+        initial_value=np.array([1.0]),
+        horizon=1.0,
     )
 
 
@@ -118,6 +167,7 @@ def make_nan_gap() -> SdeProblem:
     """Two noises whose derivative products are sqrt(x) for (0, 1) and -x
     for (1, 0): the gap is x + sqrt(x), and NaN at every negative state."""
     products = {(0, 1): np.sqrt, (1, 0): np.negative}
+    products[0, 0] = products[1, 1] = np.positive  # never read by its tests
     return SdeProblem(
         dim_state=1,
         dim_noise=2,

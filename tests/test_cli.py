@@ -322,6 +322,38 @@ def test_stepsize_range_keeps_subnormals(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_a_block_numpy_cannot_index_is_a_config_error(tmp_path, capsys):
+    """A grid whose increment block, min(paths, CHUNK_PATHS) x steps x m
+    float64s (one path for simulate), exceeds numpy's index range is refused
+    at the line that set its steps, with exit 2 and no directory."""
+    out = tmp_path / "out"
+    cases = [
+        # 5e300 steps: no array has that many rows
+        ("stability", converge_payload(kind="stability", stepsizes=[1e-300]), "stepsizes"),
+        ("simulate", converge_payload(kind="simulate", stepsizes=[1e-300]), "stepsizes"),
+        # 2^61 steps for 512 paths is 2^73 bytes
+        ("converge", converge_payload(reference_steps=2**61), "reference_steps"),
+        # the default reference is 8 x 2^61 steps, 2^64 bytes even for one path
+        ("converge", converge_payload(stepsizes=[2.0**-60, 2.0**-61], paths=1), "stepsizes"),
+    ]
+    for kind, payload, key in cases:
+        path = write_config(tmp_path, {**payload, "output_dir": str(out)})
+        assert main([kind, "--config", path]) == 2
+        err = capsys.readouterr().err
+        lineno = line_of(path, f'"{key}"')
+        assert err.startswith(f"error: {path}:{lineno}: ")
+        assert "more than numpy can index" in err
+        assert not out.exists()
+    # one 2^59-step path is 2^62 bytes: simulate passes the check, where a
+    # stability chunk of two paths would not
+    payload = converge_payload(kind="simulate", stepsizes=[2.0**-59], paths=2)
+    problem = cli.builtin_problem(payload["model"])
+    cli._validate_grid(load_config(write_config(tmp_path, payload)), problem)
+    payload["kind"] = "stability"
+    with pytest.raises(ConfigError, match="more than numpy can index"):
+        cli._validate_grid(load_config(write_config(tmp_path, payload)), problem)
+
+
 @pytest.mark.parametrize(
     "key, raw, message",
     [
@@ -1016,18 +1048,12 @@ def test_main_runtime_failure_is_exit_3(tmp_path, capsys):
     assert main(["threshold", "--config", path]) == 3
     assert "error:" in capsys.readouterr().err
     out = tmp_path / "out"
-    for kind, payload in [
-        # a 2^50-step reference needs an 8 PiB block, whose allocation fails at once
-        ("converge", converge_payload(paths=1, reference_steps=2**50, output_dir=str(out))),
-        # 5e300 steps pass the grid check but no array has that many rows
-        (
-            "stability",
-            converge_payload(kind="stability", stepsizes=[1e-300], output_dir=str(out)),
-        ),
-    ]:
-        assert main([kind, "--config", write_config(tmp_path, payload)]) == 3
-        assert capsys.readouterr().err.startswith("error: ")
-        assert not out.exists()
+    # a 2^50-step reference needs an 8 PiB block: numpy can index it, but its
+    # allocation fails at once
+    payload = converge_payload(paths=1, reference_steps=2**50, output_dir=str(out))
+    assert main(["converge", "--config", write_config(tmp_path, payload)]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_main_rejects_bad_overrides(tmp_path, capsys):

@@ -22,8 +22,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import MODELS, SEED
-from tamedsde import SchemeKind, SdeProblem, builtin_problem, fit_power_law
+from conftest import MODELS, SEED, make_two_noise_quintic
+from tamedsde import SchemeKind, builtin_problem, fit_power_law
 from tamedsde.analysis import _batch_endpoints, _stack_increments
 from tamedsde.paths import _coarsen_increments
 
@@ -121,16 +121,7 @@ def test_pairwise_milstein_term_on_a_superlinear_drift():
     """Two commuting noises ``b_j X dW_j`` with the quintic drift: semi-tamed
     Milstein converges at first order to the exact two-noise solution."""
     a, b, c = 2.0, (0.6, 0.8), 1.0
-    problem = SdeProblem(
-        dim_state=1,
-        dim_noise=2,
-        phi=lambda x: a * x,
-        varphi=lambda x: -c * x**5,
-        diffusion_column=lambda x, j: b[j] * x,
-        diffusion_derivative_product=lambda x, j1, j2: b[j1] * b[j2] * x,
-        initial_value=np.array([1.0]),
-        horizon=1.0,
-    )
+    problem = make_two_noise_quintic(a, b, c)
     inc = _increments(500, 4096, 1.0, dim_noise=2)
     exact = exact_terminal(a, b, c, 1.0, inc, 1.0)
     stepsizes = [2.0**-k for k in range(5, 10)]

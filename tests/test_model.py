@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import pickle
 from fractions import Fraction
@@ -22,9 +23,15 @@ from tamedsde import (
     levy_product_coefficient,
     step_function,
 )
-from tamedsde.model import FD_RELATIVE_STEP, _fd_levy_product
-
-from conftest import SEED, make_diagonal_2d, make_nan_gap, make_swapped_2d
+from conftest import (
+    SEED,
+    make_cubic_noise,
+    make_diagonal_2d,
+    make_gbm,
+    make_nan_gap,
+    make_swapped_2d,
+    make_two_noise_quintic,
+)
 
 
 # ------------------------------------------------------------------
@@ -120,6 +127,7 @@ def _valid_kwargs():
         phi=lambda x: -x,
         varphi=lambda x: -(x**3),
         diffusion_column=lambda x, j: x,
+        diffusion_derivative_product=lambda x, j1, j2: x,
         initial_value=np.array([1.0]),
         horizon=1.0,
     )
@@ -154,12 +162,32 @@ def test_rejects_miswired_coefficients():
         SdeProblem(**{**_valid_kwargs(), "diffusion_column": lambda x, j: np.zeros(2)})
 
 
+def test_rejects_a_problem_without_a_derivative_product():
+    kwargs = _valid_kwargs()
+    del kwargs["diffusion_derivative_product"]
+    with pytest.raises(TypeError, match="diffusion_derivative_product"):
+        SdeProblem(**kwargs)
+
+
+def test_rejects_a_derivative_product_of_the_wrong_shape():
+    """Every ordered pair is evaluated at the initial state, so a product
+    that is a (..., 1) column on a 2-d state only off the diagonal is
+    refused too."""
+    problem = make_diagonal_2d()
+
+    def product(x, j1, j2):
+        return problem.diffusion_derivative_product(x, j1, j2)[..., : 1 + (j1 == j2)]
+
+    with pytest.raises(ValueError, match=r"diffusion_derivative_product\(x, 0, 1\)"):
+        dataclasses.replace(problem, diffusion_derivative_product=product)
+
+
 def test_single_noise_marks_commutative():
-    """One noise commutes with itself, with nothing declared: the check of a
-    problem without a closed form passes with a zero violation."""
+    """One noise commutes with itself, with nothing declared: the check
+    passes with a zero violation at the one tolerance."""
     problem = SdeProblem(**_valid_kwargs())
     report = check_commutativity(problem, np.array([[0.5], [-3.0]]))
-    assert (report.max_violation, report.passed, report.tolerance) == (0.0, True, 1e-4)
+    assert (report.max_violation, report.passed, report.tolerance) == (0.0, True, 1e-8)
 
 
 # ------------------------------------------------------------------
@@ -202,56 +230,40 @@ def test_levy_product_index_validation(unstable):
         levy_product_coefficient(unstable, np.array([1.0]), 0, -1)
 
 
-@pytest.mark.parametrize("name", ["ginzburg-landau-unstable", "ginzburg-landau-stable"])
-def test_finite_difference_matches_closed_form(name):
-    """FD fallback vs closed form on the built-ins: 1e-4 relative on [-2, 2]."""
-    problem = builtin_problem(name)
-    grid = np.linspace(-2.0, 2.0, 101).reshape(-1, 1)
-    closed = levy_product_coefficient(problem, grid, 0, 0)
-    fd = _fd_levy_product(problem, grid, 0, 0)
-    scale = np.maximum(np.abs(closed), 1e-12)
-    assert np.max(np.abs(fd - closed) / scale) < 1e-4
-    # tighter structural bound: linear diffusion makes the central
-    # difference exact up to rounding at the FD scale
-    lipschitz = 2.0  # both built-in derivative products are at most 2-Lipschitz
-    norms = np.abs(grid[:, 0])
-    bound = 10.0 * FD_RELATIVE_STEP * (1.0 + norms) * lipschitz
-    assert np.all(np.abs(fd - closed)[:, 0] <= bound)
+def central_levy_product(problem, x, j1, j2):
+    """Reference ``(L^j1 g_j2)(x)``: a central difference of g_j2 along
+    g_j1(x), with step ``1e-6 * max(1, ||x||)``. Exact for constant
+    directions and second-order accurate otherwise."""
+    direction = problem.diffusion_column(x, j1)
+    eps = 1e-6 * np.maximum(1.0, np.linalg.norm(x, axis=-1, keepdims=True))
+    upper = problem.diffusion_column(x + eps * direction, j2)
+    lower = problem.diffusion_column(x - eps * direction, j2)
+    return (upper - lower) / (2.0 * eps)
 
 
-def test_finite_difference_on_nonlinear_diffusion():
-    # g = x^2 has L g = 2 x^3; the probe direction now varies with x.
-    problem = SdeProblem(
-        dim_state=1,
-        dim_noise=1,
-        phi=lambda x: -x,
-        varphi=lambda x: 0.0 * x,
-        diffusion_column=lambda x, j: x**2,
-        initial_value=np.array([1.0]),
-        horizon=1.0,
-    )
-    grid = np.linspace(-2.0, 2.0, 101).reshape(-1, 1)
-    fd = levy_product_coefficient(problem, grid, 0, 0)
-    exact = 2.0 * grid**3
-    scale = np.maximum(np.abs(exact), 1e-8)
-    assert np.max(np.abs(fd - exact) / scale) < 1e-4
+_PRODUCT_PROBLEMS = {
+    "ginzburg-landau-unstable": lambda: builtin_problem("ginzburg-landau-unstable"),
+    "ginzburg-landau-stable": lambda: builtin_problem("ginzburg-landau-stable"),
+    "gbm": make_gbm,
+    "diagonal-2d": make_diagonal_2d,
+    "swapped-2d": make_swapped_2d,
+    "cubic-noise": make_cubic_noise,
+    "two-noise-quintic": make_two_noise_quintic,
+}
 
 
-def test_finite_difference_reports_nonfinite_probes():
-    def exploding(x, j):
-        return np.where(np.abs(x) > 5.0, np.inf, x)
-
-    problem = SdeProblem(
-        dim_state=1,
-        dim_noise=1,
-        phi=lambda x: -x,
-        varphi=lambda x: 0.0 * x,
-        diffusion_column=exploding,
-        initial_value=np.array([1.0]),
-        horizon=1.0,
-    )
-    with pytest.raises(EvaluationError, match="non-finite"):
-        levy_product_coefficient(problem, np.array([10.0]), 0, 0)
+@pytest.mark.parametrize("name", sorted(_PRODUCT_PROBLEMS))
+def test_closed_form_products_match_a_central_difference(name):
+    """Every closed-form ``L^j1 g_j2`` the tests ship, for every ordered
+    pair, against a central difference on states in [-2, 2]^d."""
+    problem = _PRODUCT_PROBLEMS[name]()
+    points = np.random.default_rng(SEED).uniform(-2.0, 2.0, size=(101, problem.dim_state))
+    for j1 in range(problem.dim_noise):
+        for j2 in range(problem.dim_noise):
+            closed = levy_product_coefficient(problem, points, j1, j2)
+            reference = central_levy_product(problem, points, j1, j2)
+            assert closed.shape == points.shape, (j1, j2)
+            np.testing.assert_allclose(closed, reference, rtol=1e-6, atol=1e-8)
 
 
 # ------------------------------------------------------------------
@@ -295,8 +307,7 @@ def test_diagonal_noise_commutes():
     points = np.random.default_rng(3).uniform(-2, 2, size=(25, 2))
     report = check_commutativity(problem, points)
     assert report.passed
-    # finite-difference default tolerance applies (no closed form given)
-    assert report.tolerance == pytest.approx(1e-4)
+    assert report.tolerance == 1e-8
 
 
 def test_swapped_noise_fails():
@@ -304,7 +315,7 @@ def test_swapped_noise_fails():
     report = check_commutativity(problem, np.array([[1.0, 2.0]]))
     assert not report.passed
     # L^0 g_1 = (0, x_2) vs L^1 g_0 = (x_1, 0): gap norm sqrt(1 + 4)
-    assert report.max_violation == pytest.approx(np.sqrt(5.0), rel=1e-3)
+    assert report.max_violation == math.sqrt(5.0)
 
 
 def test_non_finite_gap_fails_the_check():

@@ -27,7 +27,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.hermite_e import hermegauss
 
-from conftest import MODELS
+from conftest import MODELS, make_two_noise_quintic
 from tamedsde import decay_rate, step_function
 
 A, B, _ = MODELS["ginzburg-landau-stable"]
@@ -82,6 +82,26 @@ def test_tamed_schemes_grow_far_out_at_every_stepsize(stable, scheme):
         factor = one_step_factor(stable, scheme, 1e6, h)
         assert factor == pytest.approx(linear_factor(h, milstein, tamed=True), rel=1e-5)
         assert factor > 1.0
+
+
+def test_semi_tamed_milstein_two_noise_factor_near_zero():
+    """m = 2, ``dX = (aX - cX^5) dt + sum_j b_j X dW_j``: near zero the step
+    is ``1 + ah + S + (S^2 - Bh)/2`` with ``S = sum_j b_j dW_j ~ N(0, Bh)``
+    and ``B = b_1^2 + b_2^2``, so its factor is ``(1 + ah)^2 + Bh + B^2 h^2 / 2``.
+    The cross term ``b_1 b_2 dW_1 dW_2`` is needed for that; the tensor
+    rule of two three-node rules integrates the degree-four moment exactly."""
+    b = (0.6, 1.2)
+    big_b = b[0] ** 2 + b[1] ** 2
+    problem = make_two_noise_quintic(A, b)
+    nodes = np.stack(np.meshgrid(NODES, NODES, indexing="ij"), axis=-1).reshape(-1, 2)
+    weights = np.outer(WEIGHTS, WEIGHTS).reshape(-1)
+    x0 = 1e-3
+    x = np.full((nodes.shape[0], 1), x0)
+    for h in (1 / 16, 1 / 8, 1 / 4, 0.45):
+        y = step_function("semi-tamed-milstein")(problem, x, math.sqrt(h) * nodes, h)
+        factor = float(weights @ (y[:, 0] * y[:, 0])) / (x0 * x0)
+        exact = (1 + A * h) ** 2 + big_b * h + big_b**2 * h * h / 2
+        assert factor == pytest.approx(exact, rel=1e-9)
 
 
 @pytest.mark.xfail(

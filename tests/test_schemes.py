@@ -25,7 +25,14 @@ from tamedsde import analysis, schemes
 from tamedsde.model import _levy_product
 from tamedsde.paths import _coarsen_increments
 
-from conftest import SEED, make_diagonal_2d, make_gbm, make_nan_gap, make_swapped_2d
+from conftest import (
+    SEED,
+    make_cubic_noise,
+    make_diagonal_2d,
+    make_gbm,
+    make_nan_gap,
+    make_swapped_2d,
+)
 
 X = np.array([1.0])
 H = 0.1
@@ -332,9 +339,8 @@ def _reference_step(problem, x, dW, h, taming, milstein):
     return x_next
 
 
-def _narrow_product_2d():
-    """g_j(x) = c_j x_1 (1, 1): L^j1 g_j2 = c_j1 c_j2 x_1 (1, 1), returned
-    as a (..., 1) column that broadcasts against the (..., 2) state."""
+def _rank_one_2d():
+    """g_j(x) = c_j x_1 (1, 1): L^j1 g_j2 = c_j1 c_j2 x_1 (1, 1)."""
     scale = (0.5, 1.5)
     return SdeProblem(
         dim_state=2,
@@ -342,7 +348,9 @@ def _narrow_product_2d():
         phi=lambda x: -x,
         varphi=lambda x: -(x**3),
         diffusion_column=lambda x, j: scale[j] * x[..., :1] * np.ones(2),
-        diffusion_derivative_product=lambda x, j1, j2: scale[j1] * scale[j2] * x[..., :1],
+        diffusion_derivative_product=(
+            lambda x, j1, j2: scale[j1] * scale[j2] * x[..., :1] * np.ones(2)
+        ),
         initial_value=np.array([1.0, 0.5]),
         horizon=1.0,
     )
@@ -373,9 +381,9 @@ def _coefficients_of_dtype(phi_dtype, dtype):
 _STEP_PROBLEMS = {
     "unstable": lambda: builtin_problem("ginzburg-landau-unstable"),
     "stable": lambda: builtin_problem("ginzburg-landau-stable"),
-    "diagonal-2d-fd": make_diagonal_2d,
-    "swapped-2d-fd": make_swapped_2d,
-    "narrow-product-2d": _narrow_product_2d,
+    "diagonal-2d": make_diagonal_2d,
+    "swapped-2d": make_swapped_2d,
+    "rank-one-2d": _rank_one_2d,
     "float32-coefficients": lambda: _coefficients_of_dtype(np.float32, np.float32),
     "int64-coefficients": lambda: _coefficients_of_dtype(np.int64, np.int64),
     "longdouble-coefficients": lambda: _coefficients_of_dtype(np.float64, np.longdouble),
@@ -616,18 +624,10 @@ def test_integrate_is_a_batch_of_one(unstable_long):
             assert not np.any(batch_blown), kind
 
 
-def test_blow_up_under_finite_difference_milstein_is_counted():
-    """Without a closed-form derivative product, a Milstein step on a path
-    that is blowing up yields a counted blow-up, not an error."""
-    problem = SdeProblem(
-        dim_state=1,
-        dim_noise=1,
-        phi=lambda x: 0.0 * x,
-        varphi=lambda x: -(x**3),
-        diffusion_column=lambda x, j: x**3,
-        initial_value=np.array([1.0]),
-        horizon=4.0,
-    )
+def test_blow_up_under_cubic_noise_milstein_is_counted():
+    """A Milstein step on a path that is blowing up yields a counted
+    blow-up, not an error."""
+    problem = make_cubic_noise()
     curve = mean_square_curve(problem, "semi-tamed-milstein", 0.5, paths=64, seed=1)
     assert 0 < curve.blown_up_count < 64
     blown = [
@@ -667,27 +667,14 @@ def _naive_propagate(problem, step, increments, h):
     return x, ~alive, states
 
 
-def _cubic_noise_fd():
-    # no closed-form derivative product: Milstein steps take the finite difference
-    return SdeProblem(
-        dim_state=1,
-        dim_noise=1,
-        phi=lambda x: 0.0 * x,
-        varphi=lambda x: -(x**3),
-        diffusion_column=lambda x, j: x**3,
-        initial_value=np.array([1.0]),
-        horizon=4.0,
-    )
-
-
 TILE = 4
 BATCH = 2 * schemes._COPY_PATHS + 5  # three copy blocks, the last one short
 
 
 @pytest.mark.parametrize(
     "make_problem",
-    [make_diagonal_2d, _cubic_noise_fd, lambda: builtin_problem("ginzburg-landau-unstable", 2.0)],
-    ids=["diagonal-2d-fd", "cubic-noise-fd", "unstable-closed-form"],
+    [make_diagonal_2d, make_cubic_noise, lambda: builtin_problem("ginzburg-landau-unstable", 2.0)],
+    ids=["diagonal-2d", "cubic-noise", "unstable"],
 )
 def test_propagate_tiles_match_naive_loop(monkeypatch, make_problem):
     problem = make_problem()
