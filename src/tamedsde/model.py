@@ -182,15 +182,6 @@ def _check_noise_index(problem: SdeProblem, j: int, name: str) -> None:
         )
 
 
-def _levy_product(problem: SdeProblem, x: np.ndarray, j1: int, j2: int) -> np.ndarray:
-    """``(L^j1 g_j2)(x)`` without index checks.
-
-    The step kernel uses this: on a path that is blowing up, a non-finite
-    value flows into the state and is counted as a blow-up.
-    """
-    return np.asarray(problem.diffusion_derivative_product(x, j1, j2), dtype=np.float64)
-
-
 def levy_product_coefficient(
     problem: SdeProblem, x: np.ndarray, j1: int, j2: int
 ) -> np.ndarray:
@@ -199,7 +190,8 @@ def levy_product_coefficient(
     _check_noise_index(problem, j1, "j1")
     _check_noise_index(problem, j2, "j2")
     with np.errstate(over="ignore", invalid="ignore"):
-        return _levy_product(problem, np.asarray(x, dtype=np.float64), j1, j2)
+        out = problem.diffusion_derivative_product(np.asarray(x, dtype=np.float64), j1, j2)
+        return np.asarray(out, dtype=np.float64)
 
 
 def _sample_states(problem: SdeProblem, sample_points) -> np.ndarray:

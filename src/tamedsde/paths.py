@@ -165,15 +165,16 @@ def generate_paths(
     TypeError
         If the seed or path index is not an integer.
     ValueError
-        If ``steps_fine < 1``, ``dim_noise < 1``, ``horizon <= 0``, the
-        seed or path index is negative, or ``path_index >= 2**32``.
+        If ``steps_fine < 1``, ``dim_noise < 1``, ``horizon`` is not finite
+        and positive, the seed or path index is negative, or
+        ``path_index >= 2**32``.
     """
     if steps_fine < 1:
         raise ValueError(f"steps_fine must be >= 1, got {steps_fine}")
     if dim_noise < 1:
         raise ValueError(f"dim_noise must be >= 1, got {dim_noise}")
-    if not horizon > 0.0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
+    if not 0.0 < horizon < math.inf:
+        raise ValueError(f"horizon must be a finite positive real, got {horizon}")
     seed, path_index = operator.index(seed), operator.index(path_index)
     if seed < 0 or path_index < 0:
         raise ValueError("seed and path_index must be nonnegative integers")

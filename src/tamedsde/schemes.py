@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SdeProblem, _default_check_points, _levy_product, check_commutativity
+from .model import SdeProblem, _default_check_points, check_commutativity
 from .paths import PathBundle, _coarsen_increments
 
 # Upper bound on the bytes of the time-major increment tile _propagate walks,
@@ -102,19 +102,20 @@ def tame(v: np.ndarray, h: float) -> np.ndarray:
     """Damp a drift vector: ``v / (1 + h ||v||)`` (Euclidean norm).
 
     ``||tame(v, h)|| <= min(||v||, 1/h)`` up to rounding, so the tamed
-    contribution ``tame(v, h) * h`` has norm at most one. A row of finite
-    entries gives a finite result (see ``_tame``), a row with an infinite or
-    NaN entry gives entries of NaN or zero, and nothing warns.
+    contribution ``tame(v, h) * h`` has norm at most one. ``h`` must be finite
+    and nonnegative. A row of finite entries gives a finite result (see
+    ``_tame``), a row with an infinite or NaN entry gives entries of NaN or
+    zero, and nothing warns.
     """
-    if not h >= 0:  # refuses NaN too
-        raise ValueError(f"h must be nonnegative, got {h}")
+    if not 0 <= h < math.inf:  # refuses NaN too
+        raise ValueError(f"h must be finite and nonnegative, got {h}")
     with np.errstate(over="ignore", invalid="ignore"):
         return _tame(np.asarray(v, dtype=np.float64), h)
 
 
 def _tame(v: np.ndarray, h: float) -> np.ndarray:
-    """``tame`` for a float64 scalar or ``(..., d)`` array and ``h >= 0``,
-    unchecked.
+    """``tame`` for a float64 scalar or ``(..., d)`` array and a finite
+    ``h >= 0``, unchecked.
 
     One entry's norm is its magnitude, a longer row's ``sqrt`` of its sum of
     squares (``np.add.reduce`` is the summation ``np.sum`` runs, minus its
@@ -147,13 +148,6 @@ def _norm(v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(v * v, axis=-1, keepdims=True))
 
 
-def _diffusion_term(problem: SdeProblem, x: np.ndarray, dW: np.ndarray) -> np.ndarray:
-    term = problem.diffusion_column(x, 0) * dW[..., 0:1]
-    for j in range(1, problem.dim_noise):
-        term = term + problem.diffusion_column(x, j) * dW[..., j : j + 1]
-    return term
-
-
 def milstein_correction(
     problem: SdeProblem, x: np.ndarray, dW: np.ndarray, h: float
 ) -> np.ndarray:
@@ -165,48 +159,51 @@ def milstein_correction(
     """
     x = np.asarray(x, dtype=np.float64)
     dW = np.asarray(dW, dtype=np.float64)
+    product = problem.diffusion_derivative_product
     corr = None
     for j in range(problem.dim_noise):
         dw_j = dW[..., j : j + 1]
-        coeff = _levy_product(problem, x, j, j)
+        coeff = np.asarray(product(x, j, j), dtype=np.float64)
         term = 0.5 * coeff * (dw_j * dw_j - h)
         corr = term if corr is None else corr + term
     for j1 in range(problem.dim_noise):
         for j2 in range(j1 + 1, problem.dim_noise):
-            coeff = _levy_product(problem, x, j1, j2)
+            coeff = np.asarray(product(x, j1, j2), dtype=np.float64)
             corr = corr + coeff * (dW[..., j1 : j1 + 1] * dW[..., j2 : j2 + 1])
     return corr
 
 
-def _step(problem, x, dW, h, taming, milstein):
-    """``x + drift h + sum_j g_j(x) dW_j``, plus the correction if ``milstein``.
+def step_function(scheme: "str | SchemeKind"):
+    """The pure one-step map ``(problem, x, dW, h) -> x_next`` of a scheme.
 
+    The step is ``x + drift h + sum_j g_j(x) dW_j``, plus
+    :func:`milstein_correction` for the Milstein schemes. The scheme's
     ``taming`` picks the drift term: ``phi + varphi`` ("none"),
     ``tame(phi + varphi, h)`` ("full") or ``phi + tame(varphi, h)``
-    ("varphi"). The additions run in this order for every scheme.
+    ("varphi"). The additions run in this order for every scheme, and each
+    coefficient is evaluated once per step. The tamed schemes refuse an ``h``
+    that is negative, infinite or NaN.
     """
-    x = np.asarray(x, dtype=np.float64)
-    dW = np.asarray(dW, dtype=np.float64)
-    if taming == "varphi":
-        x_next = x + problem.phi(x) * h + _tame(problem.varphi(x), h) * h
-    else:
-        drift = problem.phi(x) + problem.varphi(x)
-        x_next = x + (_tame(drift, h) if taming == "full" else drift) * h
-    x_next = x_next + _diffusion_term(problem, x, dW)
-    if milstein:
-        x_next = x_next + milstein_correction(problem, x, dW, h)
-    return x_next
-
-
-def step_function(scheme: "str | SchemeKind"):
-    """The pure one-step map for a scheme (problem, x, dW, h) -> x_next."""
     kind = SchemeKind.from_name(scheme)
     taming, milstein = kind.taming, kind.is_milstein
 
     def step(problem, x, dW, h):
-        if taming != "none" and not h >= 0:
-            raise ValueError(f"h must be nonnegative, got {h}")
-        return _step(problem, x, dW, h, taming, milstein)
+        if taming != "none" and not 0 <= h < math.inf:
+            raise ValueError(f"h must be finite and nonnegative, got {h}")
+        x = np.asarray(x, dtype=np.float64)
+        dW = np.asarray(dW, dtype=np.float64)
+        if taming == "varphi":
+            x_next = x + problem.phi(x) * h + _tame(problem.varphi(x), h) * h
+        else:
+            drift = problem.phi(x) + problem.varphi(x)
+            x_next = x + (_tame(drift, h) if taming == "full" else drift) * h
+        noise = problem.diffusion_column(x, 0) * dW[..., 0:1]
+        for j in range(1, problem.dim_noise):
+            noise = noise + problem.diffusion_column(x, j) * dW[..., j : j + 1]
+        x_next = x_next + noise
+        if milstein:
+            x_next = x_next + milstein_correction(problem, x, dW, h)
+        return x_next
 
     return step
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import sys
 import threading
 
@@ -51,8 +52,9 @@ def test_argument_validation():
         generate_paths(seed=1, path_index=0, steps_fine=0, dim_noise=1, horizon=1.0)
     with pytest.raises(ValueError, match="dim_noise"):
         generate_paths(seed=1, path_index=0, steps_fine=4, dim_noise=0, horizon=1.0)
-    with pytest.raises(ValueError, match="horizon"):
-        generate_paths(seed=1, path_index=0, steps_fine=4, dim_noise=1, horizon=-1.0)
+    for horizon in (-1.0, math.inf):
+        with pytest.raises(ValueError, match="horizon"):
+            generate_paths(seed=1, path_index=0, steps_fine=4, dim_noise=1, horizon=horizon)
     with pytest.raises(ValueError, match="seed"):
         generate_paths(seed=-1, path_index=0, steps_fine=4, dim_noise=1, horizon=1.0)
     with pytest.raises(ValueError, match="path_index"):

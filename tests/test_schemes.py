@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,7 +26,7 @@ from tamedsde import (
     tame,
 )
 from tamedsde import analysis, schemes
-from tamedsde.model import _levy_product
+from tamedsde.model import levy_product_coefficient
 from tamedsde.paths import _coarsen_increments
 
 from conftest import (
@@ -32,6 +36,7 @@ from conftest import (
     make_gbm,
     make_nan_gap,
     make_swapped_2d,
+    make_two_noise_quintic,
 )
 
 X = np.array([1.0])
@@ -78,7 +83,12 @@ def test_tame_hand_value():
 def test_tame_zero_and_negative_h():
     assert np.array_equal(tame(np.array([0.0, 0.0]), 0.5), np.zeros(2))
     assert np.array_equal(tame(np.array([2.0]), 0.0), np.array([2.0]))
-    for v, h in ((np.array([1.0]), -0.1), (np.array([1.0, 2.0]), float("nan"))):
+    for v, h in (
+        (np.array([1.0]), -0.1),
+        (np.array([1.0, 2.0]), float("nan")),
+        (np.array([0.0]), math.inf),
+        (np.array([1.0, 2.0]), math.inf),
+    ):
         with pytest.raises(ValueError, match="nonnegative"):
             tame(v, h)
 
@@ -240,14 +250,55 @@ def test_tame_norm_is_monotone_and_paths_agree(a, b, h, sign, d):
 
 
 def test_tamed_steps_keep_the_h_check(unstable):
-    for h in (-0.1, float("nan")):
+    for h in (-0.1, float("nan"), math.inf):
         for kind in SchemeKind:
             step = step_function(kind)
-            if kind.taming == "none":  # em checks no h: a NaN h gives a NaN state
+            if kind.taming == "none":  # em checks no h; its state is then not finite
                 assert np.isfinite(step(unstable, X, DW0, h)).all() == np.isfinite(h)
             else:
                 with pytest.raises(ValueError, match="nonnegative"):
                     step(unstable, X, DW0, h)
+
+
+def _counted(problem):
+    """``problem`` with a counter on every coefficient call, keyed
+    ``("phi",)``, ``("varphi",)``, ``("g", j)`` and ``("L", j1, j2)``."""
+    calls = Counter()
+
+    def count(name, fn):
+        def wrapper(x, *index):
+            calls[(name, *index)] += 1
+            return fn(x, *index)
+
+        return wrapper
+
+    counted = dataclasses.replace(
+        problem,
+        phi=count("phi", problem.phi),
+        varphi=count("varphi", problem.varphi),
+        diffusion_column=count("g", problem.diffusion_column),
+        diffusion_derivative_product=count("L", problem.diffusion_derivative_product),
+    )
+    calls.clear()  # construction evaluates every callable once
+    return counted, calls
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: builtin_problem("ginzburg-landau-unstable"), make_two_noise_quintic],
+    ids=["m1", "m2"],
+)
+@pytest.mark.parametrize("kind", list(SchemeKind))
+def test_one_step_evaluates_each_coefficient_once(make, kind):
+    """``phi``, ``varphi`` and each column once; a Milstein step also each
+    product ``(j1, j2)`` with ``j1 <= j2`` once, and never ``(1, 0)``."""
+    problem, calls = _counted(make())
+    m = problem.dim_noise
+    step_function(kind)(problem, np.full((3, 1), 0.5), np.full((3, m), 0.1), H)
+    expected = {("phi",): 1, ("varphi",): 1} | {("g", j): 1 for j in range(m)}
+    if kind.is_milstein:
+        expected |= {("L", j1, j2): 1 for j1 in range(m) for j2 in range(j1, m)}
+    assert dict(calls) == expected
 
 
 # ------------------------------------------------------------------
@@ -329,11 +380,11 @@ def _reference_step(problem, x, dW, h, taming, milstein):
         corr = None
         for j in range(problem.dim_noise):
             dw = dW[..., j : j + 1]
-            term = 0.5 * _levy_product(problem, x, j, j) * (dw * dw - h)
+            term = 0.5 * levy_product_coefficient(problem, x, j, j) * (dw * dw - h)
             corr = term if corr is None else corr + term
         for j1 in range(problem.dim_noise):
             for j2 in range(j1 + 1, problem.dim_noise):
-                coeff = _levy_product(problem, x, j1, j2)
+                coeff = levy_product_coefficient(problem, x, j1, j2)
                 corr = corr + coeff * (dW[..., j1 : j1 + 1] * dW[..., j2 : j2 + 1])
         x_next = x_next + corr
     return x_next
