@@ -123,11 +123,13 @@ def _nested_steps(
     return steps_list, reference_steps
 
 
-def _check_paths(paths: int) -> None:
+def _check_counts(paths: int, threads: int) -> None:
     if paths < 1:
         raise ValueError(f"paths must be >= 1, got {paths}")
     if paths > _MAX_PATHS:
         raise ValueError(f"paths must be <= {_MAX_PATHS}, got {paths}")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
 
 
 def _chunk_ranges(paths: int) -> list[tuple[int, int]]:
@@ -352,7 +354,7 @@ def strong_error_table(
     if len(scheme_kinds) == 0:
         raise ValueError("need at least one scheme")
     ref_kind = require_supported(problem, reference_scheme)
-    _check_paths(paths)
+    _check_counts(paths, threads)
 
     hs = np.asarray(sorted(set(float(h) for h in stepsizes), reverse=True))
     if hs.size == 0:
@@ -469,7 +471,7 @@ def mean_square_curve(
     """
     kind = require_supported(problem, scheme)
     steps = _steps_for(problem.horizon, stepsize)
-    _check_paths(paths)
+    _check_counts(paths, threads)
     m = problem.dim_noise
 
     def worker(lo: int, hi: int, threads: int):
@@ -690,14 +692,18 @@ def stability_study(
 
     All pairs reuse the same per-path streams (the grid resolution varies
     with the stepsize), so scheme comparisons at a fixed stepsize are on
-    identical Brownian paths. Every scheme, stepsize and the path count are
-    checked before the first curve runs.
+    identical Brownian paths. Every scheme, stepsize and the path and thread
+    counts are checked before the first curve runs.
     """
     kinds = [require_supported(problem, s) for s in schemes]
+    if not kinds:
+        raise ValueError("need at least one scheme")
     hs = [float(h) for h in stepsizes]
+    if not hs:
+        raise ValueError("need at least one stepsize")
     for h in hs:
         _steps_for(problem.horizon, h)
-    _check_paths(paths)
+    _check_counts(paths, threads)
     entries = [
         StabilityCurveEntry(
             scheme=kind,

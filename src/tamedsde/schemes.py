@@ -52,7 +52,7 @@ from .model import SdeProblem, _default_check_points, check_commutativity
 from .paths import PathBundle, _coarsen_increments
 
 # Upper bound on the bytes of the time-major increment tile _propagate walks,
-# and the paths copied into it per numpy call (see _time_major).
+# and the paths the fine walk copies into it per numpy call (see _time_major).
 _TILE_BYTES = 1 << 20
 _COPY_PATHS = 16
 
@@ -291,29 +291,27 @@ def _time_major(increments, factor=1):
     """Yield the (batch, m) increments of each step of a (batch, steps, m)
     block, summed over ``factor`` consecutive steps.
 
-    The block is walked in slices of ``factor`` times one tile of steps. Each
-    slice is coarsened into one flat buffer (only for ``factor > 1``), then
-    copied ``_COPY_PATHS`` paths at a time into one time-major buffer of at
-    most ``_TILE_BYTES``, so each step reads adjacent memory. Path rows sit a
-    power of two apart on the usual grids, and a copy over every path at once
-    would map all of them to one cache set. Both buffers serve the whole
-    walk, so a yielded row holds its step's increments only until the next
-    one is taken.
+    The block is walked in slices of ``factor`` times one tile of steps, each
+    written into one time-major buffer of at most ``_TILE_BYTES``, so each
+    step reads adjacent memory. A coarser grid (``factor > 1``) sums its slice
+    straight into the buffer's rows. The fine walk copies its slice
+    ``_COPY_PATHS`` paths at a time: path rows sit a power of two apart on the
+    usual grids, and a copy over every path at once would map all of them to
+    one cache set. The buffer serves the whole walk, so a yielded row holds
+    its step's increments only until the next one is taken.
     """
     batch, steps, m = increments.shape
     tile = max(1, _TILE_BYTES // max(1, batch * m * increments.itemsize))
-    size = min(tile, steps // factor) * batch * m
-    timed = np.empty(size, dtype=increments.dtype)
-    coarse = np.empty_like(timed) if factor > 1 else None
+    timed = np.empty(min(tile, steps // factor) * batch * m, dtype=increments.dtype)
     for first in range(0, steps, factor * tile):
         part = increments[:, first : first + factor * tile]
         n = part.shape[1] // factor
-        if factor > 1:
-            out = coarse[: batch * n * m].reshape(batch, n, m)
-            part = _coarsen_increments(part, factor, out=out)
         rows = timed[: n * batch * m].reshape(n, batch, m)
-        for lo in range(0, batch, _COPY_PATHS):
-            rows[:, lo : lo + _COPY_PATHS] = part[lo : lo + _COPY_PATHS].swapaxes(0, 1)
+        if factor > 1:
+            _coarsen_increments(part, factor, out=rows.swapaxes(0, 1))
+        else:
+            for lo in range(0, batch, _COPY_PATHS):
+                rows[:, lo : lo + _COPY_PATHS] = part[lo : lo + _COPY_PATHS].swapaxes(0, 1)
         yield from rows
 
 

@@ -584,7 +584,8 @@ def _no_chunks(worker, paths, threads):
 
 
 def test_stability_study_refuses_before_its_first_curve(swapped_2d, monkeypatch):
-    """A refused scheme late in the list stops the study before any curve."""
+    """A refused scheme late in the list, or an empty list, stops the study
+    before any curve."""
     monkeypatch.setattr(analysis, "_run_chunks", _no_chunks)
     with pytest.raises(ValueError, match="commut"):
         stability_study(swapped_2d, ["em", "semi-tamed-milstein"], [2**-8], paths=4096, seed=1)
@@ -592,25 +593,43 @@ def test_stability_study_refuses_before_its_first_curve(swapped_2d, monkeypatch)
         stability_study(swapped_2d, ["em"], [0.25, 0.3], paths=8, seed=SEED)
     with pytest.raises(ValueError, match="paths must be >= 1"):
         stability_study(swapped_2d, ["em"], [0.25], paths=0, seed=SEED)
+    with pytest.raises(ValueError, match="need at least one scheme"):
+        stability_study(swapped_2d, [], [0.25], paths=8, seed=SEED)
+    with pytest.raises(ValueError, match="need at least one stepsize"):
+        stability_study(swapped_2d, ["em"], [], paths=8, seed=SEED)
 
 
-@pytest.mark.parametrize(
+# Each Monte Carlo driver on one or two short grids, sized by keyword.
+DRIVERS = pytest.mark.parametrize(
     "driver",
     [
-        lambda p, n: strong_error_table(p, ["em"], [0.25, 0.125], paths=n, seed=SEED),
-        lambda p, n: mean_square_curve(p, "em", 0.25, paths=n, seed=SEED),
-        lambda p, n: stability_study(p, ["em"], [0.25], paths=n, seed=SEED),
+        lambda p, **kw: strong_error_table(p, ["em"], [0.25, 0.125], seed=SEED, **kw),
+        lambda p, **kw: mean_square_curve(p, "em", 0.25, seed=SEED, **kw),
+        lambda p, **kw: stability_study(p, ["em"], [0.25], seed=SEED, **kw),
     ],
     ids=["strong-error-table", "mean-square-curve", "stability-study"],
 )
+
+
+@DRIVERS
 def test_drivers_refuse_more_paths_than_stream_indices(unstable, monkeypatch, driver):
     """Path indices are one 32-bit spawn word: 2**32 paths are the most a
     driver accepts, and it refuses more before any work."""
     monkeypatch.setattr(analysis, "_run_chunks", _no_chunks)
     with pytest.raises(ValueError, match=r"paths must be <= 4294967296, got 4294967297"):
-        driver(unstable, 2**32 + 1)
+        driver(unstable, paths=2**32 + 1)
     with pytest.raises(AssertionError, match="must not integrate"):
-        driver(unstable, 2**32)  # accepted: it reaches the chunk runner
+        driver(unstable, paths=2**32)  # accepted: it reaches the chunk runner
+
+
+@pytest.mark.parametrize("threads", [0, -1])
+@DRIVERS
+def test_drivers_refuse_fewer_than_one_thread(unstable, monkeypatch, driver, threads):
+    """A thread count below one is refused before any work, also on streams
+    too short for a chunk's draws to be split across threads."""
+    monkeypatch.setattr(analysis, "_run_chunks", _no_chunks)
+    with pytest.raises(ValueError, match=f"threads must be >= 1, got {threads}"):
+        driver(unstable, paths=8, threads=threads)
 
 
 def test_drivers_run_em_on_noncommutative_noise(swapped_2d):

@@ -12,7 +12,9 @@ lost. The transition is the same at every step, so it is built once per
 (scheme, h) and applied as one pair of ``np.bincount`` calls per step.
 
 Monte Carlo cannot check these curves: on the stable model the mean square
-sits on paths of probability about 1e-13.
+sits on paths of probability about 1e-13. The oracle leaves ``em`` out: its
+untamed steps send mass above the top, which this grid loses rather than
+counts as blown.
 """
 
 import math
@@ -23,6 +25,9 @@ from numpy.polynomial.hermite_e import hermegauss
 
 from conftest import MODELS, make_gbm
 from tamedsde import builtin_problem, step_function
+from test_one_step_mean_square import one_step_factor
+
+TAMING = ["tamed-euler", "semi-tamed-euler", "tamed-milstein", "semi-tamed-milstein"]
 
 # r = 0, then e^-80 .. e^140 at 40 points per e-fold
 GRID = np.concatenate([[0.0], np.exp(-80.0 + np.arange(220 * 40 + 1) / 40.0)])
@@ -101,3 +106,41 @@ def test_semi_tamed_curves_cross_the_exact_threshold(scheme, h, values):
         assert np.all(np.diff(curve) > 0)
     else:
         assert curve[-1] < 0.1 * curve[0]
+
+
+@pytest.mark.parametrize("h", [1 / 16, 1 / 4, 0.45])
+@pytest.mark.parametrize("scheme", TAMING)
+def test_one_oracle_step_is_the_exact_three_node_value(scheme, h):
+    """``x0 = 1`` is a grid point, the 80-node rule integrates the one-step
+    moment of degree four exactly, and each image's split keeps ``r^2``, so
+    the oracle's first step is the three-node value up to rounding."""
+    problem = builtin_problem("ginzburg-landau-stable")
+    curve = mean_square_curve(problem, scheme, h, 1)
+    assert curve[0] == 1.0
+    assert curve[1] == pytest.approx(one_step_factor(problem, scheme, 1.0, h), rel=1e-12)
+
+
+def test_tamed_euler_grows_where_the_semi_tamed_schemes_decay():
+    """At h = 1/8, below both semi-tamed thresholds, tamed Euler's mean square
+    from ``x0 = 1`` grows: far out it multiplies by ``1 + b^2 h`` per step."""
+    curve = mean_square_curve(builtin_problem("ginzburg-landau-stable"), "tamed-euler", 1 / 8, 40)
+    assert curve[8] == pytest.approx(0.105, rel=0.01)
+    assert curve[40] == pytest.approx(22.3, rel=0.01)
+
+
+def test_criterion_6_ordering_holds_in_exact_arithmetic():
+    """At h = 1/4 and t = 5 each semi-tamed scheme ends more than a thousand
+    times below each tamed one, where criterion 6 asks only for below."""
+    problem = builtin_problem("ginzburg-landau-stable")
+    terminal = {scheme: mean_square_curve(problem, scheme, 1 / 4, 20)[-1] for scheme in TAMING}
+    expected = {
+        "semi-tamed-euler": 1.197e-4,
+        "semi-tamed-milstein": 1.941e-2,
+        "tamed-euler": 104.0,
+        "tamed-milstein": 2869.0,
+    }
+    for scheme, value in expected.items():
+        assert terminal[scheme] == pytest.approx(value, rel=1e-3), scheme
+    for semi in ("semi-tamed-euler", "semi-tamed-milstein"):
+        for tamed in ("tamed-euler", "tamed-milstein"):
+            assert 1000 * terminal[semi] < terminal[tamed], (semi, tamed)

@@ -766,17 +766,30 @@ def test_propagate_tiles_match_naive_loop(monkeypatch, make_problem):
                     assert blown.all() and len(seen) <= 3 < steps + 1, where
 
 
-@pytest.mark.parametrize("factor", [1, 2, 8])
-@pytest.mark.parametrize("tile_steps", [1, 3, None], ids=["one-step", "non-dividing", "default"])
+_TIME_MAJOR_CASES = [
+    pytest.param(BATCH, 24 * 7, m, factor, tile_steps, id=f"m{m}-f{factor}-{label}")
+    for m in (1, 2, 3)
+    for factor in (1, 2, 3, 8)
+    for tile_steps, label in ((1, "one-step"), (5, "non-dividing"), (None, "default"))
+] + [
+    # a converge chunk's width and coarsest factor: 256 > 128 summands, so
+    # numpy's pairwise sum splits each reduced run
+    pytest.param(512, 256 * 8, 1, 256, None, id="wide-f256-default"),
+]
+
+
+@pytest.mark.parametrize("batch, steps, m, factor, tile_steps", _TIME_MAJOR_CASES)
 def test_time_major_rows_are_the_coarsened_block_and_share_one_buffer(
-    monkeypatch, factor, tile_steps
+    monkeypatch, batch, steps, m, factor, tile_steps
 ):
     """The walk yields the rows of the whole block coarsened at once, bitwise,
-    from one time-major buffer that every tile refills."""
-    steps = 8 * 11  # 88, 44 and 11 coarse steps: a tile of 3 divides none
-    base = analysis._stack_increments(SEED, 0, BATCH, steps, 2, 1.0)
+    from one time-major buffer that every tile refills. A coarse tile is
+    summed straight into that buffer's strided rows, so this also pins that
+    the sum into a strided ``out`` keeps the bits of the path-major sum."""
+    # 168, 84, 56 and 21 coarse steps on the narrow block: a tile of 5 divides none
+    base = analysis._stack_increments(SEED, 0, batch, steps, m, 1.0)
     if tile_steps is not None:
-        monkeypatch.setattr(schemes, "_TILE_BYTES", tile_steps * BATCH * 2 * 8)
+        monkeypatch.setattr(schemes, "_TILE_BYTES", tile_steps * batch * m * 8)
     want = _coarsen_increments(base, factor).swapaxes(0, 1)
     copies = [row.copy() for row in schemes._time_major(base, factor)]
     assert np.array_equal(_bits(np.stack(copies)), _bits(want))
