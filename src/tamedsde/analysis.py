@@ -34,7 +34,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, fields
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -123,13 +123,35 @@ def _nested_steps(
     return steps_list, reference_steps
 
 
-def _check_counts(paths: int, threads: int) -> None:
+def _request(
+    problem: SdeProblem,
+    schemes: Sequence["str | SchemeKind"],
+    stepsizes: Sequence[float],
+    paths: int,
+    threads: int,
+) -> tuple[list[SchemeKind], list[float]]:
+    """Check a Monte Carlo driver's request before any work.
+
+    Returns the supported kind of each scheme and each distinct stepsize
+    once, both in the caller's order. Refuses an empty list, a scheme the
+    problem cannot run, a stepsize that does not divide the horizon, and a
+    path or thread count out of range.
+    """
+    kinds = [require_supported(problem, s) for s in schemes]
+    if not kinds:
+        raise ValueError("need at least one scheme")
+    hs = list(dict.fromkeys(float(h) for h in stepsizes))
+    if not hs:
+        raise ValueError("need at least one stepsize")
+    for h in hs:
+        _steps_for(problem.horizon, h)
     if paths < 1:
         raise ValueError(f"paths must be >= 1, got {paths}")
     if paths > _MAX_PATHS:
         raise ValueError(f"paths must be <= {_MAX_PATHS}, got {paths}")
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
+    return kinds, hs
 
 
 def _chunk_ranges(paths: int) -> list[tuple[int, int]]:
@@ -350,15 +372,9 @@ def strong_error_table(
     Brownian paths, so cross-scheme comparisons are on identical noise.
     ``reference_steps`` defaults to eight times the finest study grid.
     """
-    scheme_kinds = [require_supported(problem, s) for s in schemes]
-    if len(scheme_kinds) == 0:
-        raise ValueError("need at least one scheme")
+    scheme_kinds, hs = _request(problem, schemes, stepsizes, paths, threads)
     ref_kind = require_supported(problem, reference_scheme)
-    _check_counts(paths, threads)
-
-    hs = np.asarray(sorted(set(float(h) for h in stepsizes), reverse=True))
-    if hs.size == 0:
-        raise ValueError("need at least one stepsize")
+    hs = np.asarray(sorted(hs, reverse=True))
     steps_list, reference_steps = _nested_steps(problem.horizon, hs, reference_steps)
     h_ref = problem.horizon / reference_steps
     n_h = hs.size
@@ -469,9 +485,8 @@ def mean_square_curve(
     per-gridpoint sample standard deviations of ``||Y_n||^2`` over
     surviving paths divided by sqrt(count).
     """
-    kind = require_supported(problem, scheme)
+    [kind], [stepsize] = _request(problem, [scheme], [stepsize], paths, threads)
     steps = _steps_for(problem.horizon, stepsize)
-    _check_counts(paths, threads)
     m = problem.dim_noise
 
     def worker(lo: int, hi: int, threads: int):
@@ -527,18 +542,10 @@ class StabilityParams:
     m: int
 
     def __post_init__(self) -> None:
-        values = {
-            "rho": self.rho,
-            "theta": self.theta,
-            "lip_K": self.lip_K,
-            "beta": self.beta,
-            "v": self.v,
-            "v_bar": self.v_bar,
-            "alpha": self.alpha,
-        }
-        for name, val in values.items():
-            if not math.isfinite(float(val)):
-                raise ValueError(f"{name} must be finite, got {val!r}")
+        for name in (f.name for f in fields(self) if f.name != "m"):
+            value = getattr(self, name)
+            if not math.isfinite(float(value)):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.rho <= 0:
             raise ValueError("rho must be positive")
         if self.theta < 0 or self.lip_K < 0 or self.beta < 0:
@@ -692,18 +699,10 @@ def stability_study(
 
     All pairs reuse the same per-path streams (the grid resolution varies
     with the stepsize), so scheme comparisons at a fixed stepsize are on
-    identical Brownian paths. Every scheme, stepsize and the path and thread
-    counts are checked before the first curve runs.
+    identical Brownian paths. The request is checked by :func:`_request`
+    before the first curve runs, and a repeated stepsize runs once.
     """
-    kinds = [require_supported(problem, s) for s in schemes]
-    if not kinds:
-        raise ValueError("need at least one scheme")
-    hs = [float(h) for h in stepsizes]
-    if not hs:
-        raise ValueError("need at least one stepsize")
-    for h in hs:
-        _steps_for(problem.horizon, h)
-    _check_counts(paths, threads)
+    kinds, hs = _request(problem, schemes, stepsizes, paths, threads)
     entries = [
         StabilityCurveEntry(
             scheme=kind,

@@ -69,37 +69,6 @@ from .schemes import SchemeKind, integrate
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "run", "main"]
 
-_KIND_KEYS = {
-    "converge": (
-        {"model", "schemes", "stepsizes", "paths", "seed"},
-        {"horizon", "output_dir", "reference_steps", "reference_scheme", "gnuplot"},
-    ),
-    "stability": (
-        {"model", "schemes", "stepsizes", "paths", "seed"},
-        {"horizon", "output_dir", "stability_params", "gnuplot"},
-    ),
-    "simulate": (
-        {"model", "schemes", "stepsizes", "paths", "seed"},
-        {"horizon", "output_dir"},
-    ),
-    "threshold": (
-        {"stability_params"},
-        {"stepsizes", "output_dir"},
-    ),
-    "check": (
-        {"model"},
-        {
-            "horizon",
-            "output_dir",
-            "gamma",
-            "sample_low",
-            "sample_high",
-            "sample_count",
-        },
-    ),
-}
-KINDS = tuple(_KIND_KEYS)
-
 _PARAM_KEYS = [f.name for f in fields(StabilityParams)]
 
 # _require_number bounds of every numeric key; the --seed/--paths overrides
@@ -195,7 +164,7 @@ _RANGE_RE = re.compile(r"2\^(-?\d+)\s*\.\.\s*2\^(-?\d+)")
 
 def _parse_stepsizes(cfg: ExperimentConfig, raw) -> list[float]:
     """Stepsizes from a list of reals or a ``"2^a..2^b"`` range; every entry,
-    in either form, must be finite and positive."""
+    in either form, must be finite, positive and not equal to an earlier one."""
     if isinstance(raw, str):
         match = _RANGE_RE.fullmatch(raw.strip())
         if match is None:
@@ -222,6 +191,8 @@ def _parse_stepsizes(cfg: ExperimentConfig, raw) -> list[float]:
             raise _fail(
                 cfg, "stepsizes", f"stepsizes entries must be finite positive reals, got {shown}"
             )
+        if value in values:
+            raise _fail(cfg, "stepsizes", f"stepsizes lists {shown} more than once")
         values.append(value)
     return values
 
@@ -280,7 +251,7 @@ def load_config(path: str) -> ExperimentConfig:
         raise _fail(cfg, "kind", f"unknown kind {kind!r}; valid kinds: {', '.join(KINDS)}")
     cfg.kind = kind
 
-    required, optional = _KIND_KEYS[kind]
+    required, optional, _ = _KINDS[kind]
     allowed = required | optional | {"kind"}
     for key in document:
         if key not in allowed:
@@ -314,7 +285,7 @@ def load_config(path: str) -> ExperimentConfig:
         cfg.schemes = list(raw)
     if "stepsizes" in document:
         cfg.stepsizes = _parse_stepsizes(cfg, document["stepsizes"])
-        if kind == "converge" and len(set(cfg.stepsizes)) < 2:
+        if kind == "converge" and len(cfg.stepsizes) < 2:
             raise _fail(cfg, "stepsizes", "converge needs at least two distinct stepsizes")
     for key, rule in _NUMBER_RULES.items():
         if key in document:
@@ -395,8 +366,8 @@ def _validate_grid(cfg: ExperimentConfig, problem) -> None:
 
 
 def _fit_line(r) -> str:
-    """One scheme's ``fit.txt`` line; ``fit=none`` where no fit is possible."""
-    if np.count_nonzero(np.isfinite(r.rms_errors) & (r.rms_errors > 0)) < 2:
+    """One scheme's ``fit.txt`` line; ``fit=none`` where the report has no fit."""
+    if math.isnan(r.fit_order):
         reason = "fewer than two stepsizes with a finite positive rms_error"
         return f"scheme={r.scheme.value} fit=none ({reason})"
     return (
@@ -496,7 +467,7 @@ def _run_threshold(cfg: ExperimentConfig, problem, threads: int):
     params = cfg.stability_params
     thr = stability_threshold(params)
     lines = [
-        f"{name}={'inf' if value == math.inf else _fmt(value)}"
+        f"{name}={_fmt(value)}"
         for name, value in (("h1", thr.h1), ("h2", thr.h2), ("h_star", thr.h_star))
     ]
     if cfg.stepsizes:
@@ -529,13 +500,31 @@ def _run_check(cfg: ExperimentConfig, problem, threads: int):
     return [("check.txt", lines)]
 
 
-_RUNNERS = {
-    "converge": _run_converge,
-    "stability": _run_stability,
-    "simulate": _run_simulate,
-    "threshold": _run_threshold,
-    "check": _run_check,
+# Each kind's required config keys, optional config keys and runner.
+_KINDS = {
+    "converge": (
+        {"model", "schemes", "stepsizes", "paths", "seed"},
+        {"horizon", "output_dir", "reference_steps", "reference_scheme", "gnuplot"},
+        _run_converge,
+    ),
+    "stability": (
+        {"model", "schemes", "stepsizes", "paths", "seed"},
+        {"horizon", "output_dir", "stability_params", "gnuplot"},
+        _run_stability,
+    ),
+    "simulate": (
+        {"model", "schemes", "stepsizes", "paths", "seed"},
+        {"horizon", "output_dir"},
+        _run_simulate,
+    ),
+    "threshold": ({"stability_params"}, {"stepsizes", "output_dir"}, _run_threshold),
+    "check": (
+        {"model"},
+        {"output_dir", "gamma", "sample_low", "sample_high", "sample_count"},
+        _run_check,
+    ),
 }
+KINDS = tuple(_KINDS)
 
 
 def run(config: ExperimentConfig, threads: int = 1) -> list[str]:
@@ -546,11 +535,11 @@ def run(config: ExperimentConfig, threads: int = 1) -> list[str]:
         raise ConfigError(
             f"{config.source_path}: no output directory (set output_dir or pass --out)"
         )
-    runner = _RUNNERS.get(config.kind)
-    if runner is None:
+    if config.kind not in _KINDS:
         raise ConfigError(f"{config.source_path}: unknown kind {config.kind!r}")
+    required, _, runner = _KINDS[config.kind]
     problem = None
-    if "model" in _KIND_KEYS[config.kind][0]:
+    if "model" in required:
         problem = builtin_problem(config.model, horizon=config.horizon)
         _validate_grid(config, problem)
     written = []
@@ -569,7 +558,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Strong-approximation SDE experiments with tamed schemes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for kind, (required, optional) in _KIND_KEYS.items():
+    for kind, (required, optional, _) in _KINDS.items():
         cmd = sub.add_parser(kind, help=f"run a {kind!r} experiment from a JSON config")
         cmd.add_argument("--config", required=True, help="path to the experiment JSON")
         for key, text in (("seed", "the config seed"), ("paths", "the path count")):

@@ -123,20 +123,18 @@ def _restart_state() -> dict:
 
 
 def _draw_increments(
-    gen: np.random.Generator, key, out: np.ndarray, state: Optional[dict] = None
+    gen: np.random.Generator, key, out: np.ndarray, state: dict
 ) -> np.ndarray:
     """Fill ``out`` with the standard normals of the stream with Philox ``key``.
 
     ``key`` is the stream's two key words, ideally as Python ints (numpy
     converts an array row element by element). ``gen`` is restarted from
     ``state``, a :func:`_restart_state` dict whose key is swapped for
-    ``key`` (a new one where ``None``), so nothing carries over from the
-    stream drawn before. A caller drawing many streams passes one dict for
-    all of them, which saves building it per stream. :func:`_scale_increments`
-    turns the normals into increments.
+    ``key``, so nothing carries over from the stream drawn before. A caller
+    drawing many streams passes one dict for all of them, which saves
+    building it per stream. :func:`_scale_increments` turns the normals into
+    increments.
     """
-    if state is None:
-        state = _restart_state()
     state["state"]["key"] = key
     gen.bit_generator.state = state
     return gen.standard_normal(out=out)
@@ -182,7 +180,7 @@ def generate_paths(
         raise ValueError(f"path_index must be below 2**32, got {path_index}")
     key = _stream_keys(seed, path_index, path_index + 1).tolist()[0]
     increments = np.empty((steps_fine, dim_noise))
-    _draw_increments(_generator(), key, increments)
+    _draw_increments(_generator(), key, increments, _restart_state())
     _scale_increments(increments, steps_fine, horizon)
     return PathBundle(
         seed=seed,

@@ -632,6 +632,27 @@ def test_drivers_refuse_fewer_than_one_thread(unstable, monkeypatch, driver, thr
         driver(unstable, paths=8, threads=threads)
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (dict(schemes=[]), "need at least one scheme"),
+        (dict(stepsizes=[]), "need at least one stepsize"),
+        (dict(paths=0), "paths must be >= 1, got 0"),
+        (dict(threads=0), "threads must be >= 1, got 0"),
+    ],
+    ids=["no-schemes", "no-stepsizes", "no-paths", "no-threads"],
+)
+def test_drivers_refuse_a_bad_request_alike(unstable, monkeypatch, bad, message):
+    """Both multi-scheme drivers check a request through one rule, so a bad
+    one gets the same message from each, before any work."""
+    monkeypatch.setattr(analysis, "_run_chunks", _no_chunks)
+    request = dict(schemes=["em"], stepsizes=[0.25, 0.125], paths=8, seed=SEED, threads=1)
+    for driver in (strong_error_table, stability_study):
+        with pytest.raises(ValueError) as err:
+            driver(unstable, **{**request, **bad})
+        assert str(err.value) == message, driver.__name__
+
+
 def test_drivers_run_em_on_noncommutative_noise(swapped_2d):
     table = strong_error_table(
         swapped_2d, ["em"], [0.25, 0.125], paths=8, seed=SEED, reference_scheme="em"
@@ -1054,6 +1075,18 @@ def test_dissipativity_validation(stable):
 # ------------------------------------------------------------------
 # stability_study
 # ------------------------------------------------------------------
+
+def test_stability_study_runs_a_repeated_stepsize_once(stable):
+    """A repeated stepsize gives one curve, in the caller's order, as
+    ``strong_error_table`` gives one row."""
+    report = stability_study(
+        stable, ["semi-tamed-euler"], [0.25, 0.25, 0.125], paths=32, seed=SEED
+    )
+    assert [e.stepsize for e in report.entries] == [0.25, 0.125]
+    single = stability_study(stable, ["semi-tamed-euler"], [0.25, 0.125], paths=32, seed=SEED)
+    for got, want in zip(report.entries, single.entries):
+        assert np.array_equal(got.curve.values, want.curve.values)
+
 
 def test_stability_study_structure(stable):
     report = stability_study(

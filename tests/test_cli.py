@@ -267,6 +267,41 @@ def test_repeated_scheme_rejected(tmp_path, capsys, kind):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind", ["converge", "stability", "simulate", "threshold"])
+def test_repeated_stepsize_rejected(tmp_path, capsys, kind):
+    """A stepsize listed twice would be run and written twice (converge
+    dropped the repeat); it fails at load, compared as a float."""
+    out = tmp_path / "out"
+    if kind == "threshold":
+        payload = threshold_payload(stepsizes=[0.25, 0.125, 0.25])
+    else:
+        payload = converge_payload(kind=kind, stepsizes=[0.25, 0.125, 0.25], paths=2)
+    path = write_config(tmp_path, {**payload, "output_dir": str(out)})
+    lineno = line_of(path, '"stepsizes"')
+    assert main([kind, "--config", path]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}:{lineno}: stepsizes lists 0.25 more than once\n"
+    )
+    assert not out.exists()
+    path = write_config(tmp_path, {**payload, "stepsizes": [1, 0.5, 1.0]})
+    with pytest.raises(ConfigError, match="stepsizes lists 1.0 more than once"):
+        load_config(path)
+
+
+def test_check_config_refuses_horizon(tmp_path, capsys):
+    """The checks sample states, not a time grid, so a check config has no
+    horizon to set."""
+    out = tmp_path / "out"
+    payload = {"kind": "check", "model": "ginzburg-landau-stable", "horizon": 2.0}
+    path = write_config(tmp_path, {**payload, "output_dir": str(out)})
+    lineno = line_of(path, '"horizon"')
+    assert main(["check", "--config", path]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}:{lineno}: unknown key 'horizon' for kind 'check'\n"
+    )
+    assert not out.exists()
+
+
 def test_negative_stepsize_rejected(tmp_path):
     path = write_config(tmp_path, converge_payload(stepsizes=[0.25, -0.125]))
     with pytest.raises(ConfigError, match="positive reals"):
@@ -355,16 +390,21 @@ def test_a_block_numpy_cannot_index_is_a_config_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "key, raw, message",
+    "payload, key, raw, message",
     [
-        ("horizon", str(10**400), "horizon must be finite"),
-        ("horizon", "Infinity", "horizon must be finite"),
-        ("sample_low", "NaN", "sample_low must be finite"),
+        (converge_payload(), "horizon", str(10**400), "horizon must be finite"),
+        (converge_payload(), "horizon", "Infinity", "horizon must be finite"),
+        (
+            {"kind": "check", "model": "ginzburg-landau-stable"},
+            "sample_low",
+            "NaN",
+            "sample_low must be finite",
+        ),
     ],
     ids=["horizon-huge-int", "horizon-inf", "sample-low-nan"],
 )
-def test_nonfinite_reals_rejected(tmp_path, key, raw, message):
-    payload = {"kind": "check", "model": "ginzburg-landau-stable", key: "@"}
+def test_nonfinite_reals_rejected(tmp_path, payload, key, raw, message):
+    payload = {**payload, key: "@"}
     path = write_config(tmp_path, json.dumps(payload, indent=2).replace('"@"', raw))
     lineno = line_of(path, f'"{key}"')
     with pytest.raises(ConfigError, match=rf"{path}:{lineno}: {message}"):
@@ -605,14 +645,23 @@ def test_converge_outputs(tmp_path):
     assert "convergence.csv" in gp
 
 
-@pytest.mark.parametrize("stepsizes", [[0.125], [0.125, 0.125]], ids=["one", "repeated"])
-def test_converge_needs_two_distinct_stepsizes(tmp_path, capsys, stepsizes):
-    """An order fit needs two stepsizes; a config with fewer fails at load."""
+@pytest.mark.parametrize(
+    "stepsizes, message",
+    [
+        ([0.125], "converge needs at least two distinct stepsizes"),
+        ([0.125, 0.125], "stepsizes lists 0.125 more than once"),
+    ],
+    ids=["one", "repeated"],
+)
+def test_converge_needs_two_distinct_stepsizes(tmp_path, capsys, stepsizes, message):
+    """An order fit needs two stepsizes; a config with fewer fails at load,
+    and so does one whose second stepsize repeats the first."""
     out = tmp_path / "out"
     path = write_config(tmp_path, converge_payload(stepsizes=stepsizes, output_dir=str(out)))
     lineno = line_of(path, '"stepsizes"')
-    with pytest.raises(ConfigError, match=rf"{path}:{lineno}: .*two distinct stepsizes"):
+    with pytest.raises(ConfigError) as err:
         load_config(path)
+    assert str(err.value) == f"{path}:{lineno}: {message}"
     assert main(["converge", "--config", path]) == 2
     assert f"{path}:{lineno}:" in capsys.readouterr().err
     assert not out.exists()
@@ -624,7 +673,7 @@ def test_converge_nan_fit_writes_nothing(tmp_path, capsys, monkeypatch):
 
     def nan_fit_table(*args, **kwargs):
         return {
-            kind: dataclasses.replace(report, fit_order=math.nan)
+            kind: dataclasses.replace(report, fit_constant=math.nan)
             for kind, report in real_table(*args, **kwargs).items()
         }
 

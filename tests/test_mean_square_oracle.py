@@ -24,7 +24,7 @@ import pytest
 from numpy.polynomial.hermite_e import hermegauss
 
 from conftest import MODELS, make_gbm
-from tamedsde import builtin_problem, step_function
+from tamedsde import builtin_problem, decay_rate, step_function
 from test_one_step_mean_square import one_step_factor
 
 TAMING = ["tamed-euler", "semi-tamed-euler", "tamed-milstein", "semi-tamed-milstein"]
@@ -144,3 +144,31 @@ def test_criterion_6_ordering_holds_in_exact_arithmetic():
     for semi in ("semi-tamed-euler", "semi-tamed-milstein"):
         for tamed in ("tamed-euler", "tamed-milstein"):
             assert 1000 * terminal[semi] < terminal[tamed], (semi, tamed)
+
+
+@pytest.mark.parametrize(
+    "h, terminal, envelope",
+    [
+        (1 / 16, 4.752e-7, 1.159e-4),
+        pytest.param(
+            0.2, 1.982e-3, 9.119e-4,
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="ROADMAP item 1: at h = 0.2 the exact mean square crosses "
+                "the coded envelope exp(-gamma_h t) at t = 3.6",
+            ),
+        ),
+    ],
+    ids=["h1/16", "h0.2"],
+)
+def test_semi_tamed_milstein_curve_within_the_decay_envelope(stable, stable_params, h,
+                                                              terminal, envelope):
+    """Criterion 5's envelope ``exp(-gamma_h t)`` against the exact mean
+    square from ``x0 = 1`` at every gridpoint to t = 5, where the two end at
+    ``terminal`` and ``envelope``."""
+    steps = round(5 / h)
+    curve = mean_square_curve(stable, "semi-tamed-milstein", h, steps)
+    bound = np.exp(-decay_rate(stable_params, h) * h * np.arange(steps + 1))
+    assert curve[-1] == pytest.approx(terminal, rel=1e-3)
+    assert bound[-1] == pytest.approx(envelope, rel=1e-3)
+    assert np.all(curve <= bound)

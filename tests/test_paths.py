@@ -128,7 +128,7 @@ def test_draws_match_seed_sequence_bitwise(steps, m):
         assert np.array_equal(bundle.increments.view(np.uint64), expected[i - lo].view(np.uint64))
 
 
-def _restarted_draw(gen, key, steps, state=None):
+def _restarted_draw(gen, key, steps, state):
     out = np.empty((steps, 1))
     assert _draw_increments(gen, key, out, state) is out
     return _scale_increments(out, steps, 1.0)
@@ -138,11 +138,11 @@ def test_restarted_generator_carries_no_state():
     # odd normal counts leave Philox's output buffer part-used
     gen = _generator()
     keys = _stream_keys(SEED, 40, 43).tolist()
-    first = _restarted_draw(gen, keys[0], 3)
-    second = _restarted_draw(gen, keys[2], 5)
-    again = _restarted_draw(gen, keys[0], 7)
+    first = _restarted_draw(gen, keys[0], 3, _restart_state())
+    second = _restarted_draw(gen, keys[2], 5, _restart_state())
+    again = _restarted_draw(gen, keys[0], 7, _restart_state())
     assert np.array_equal(first, _seed_sequence_draw(SEED, 40, 3, 1, 1.0))
-    assert np.array_equal(second, _restarted_draw(_generator(), keys[2], 5))
+    assert np.array_equal(second, _restarted_draw(_generator(), keys[2], 5, _restart_state()))
     assert np.array_equal(second, _seed_sequence_draw(SEED, 42, 5, 1, 1.0))
     assert np.array_equal(again, _seed_sequence_draw(SEED, 40, 7, 1, 1.0))
     state = _restart_state()  # one dict restarts every stream of a slice

@@ -24,6 +24,7 @@ import pytest
 
 from conftest import SEED
 from tamedsde import SdeProblem, StabilityParams, stability_threshold
+from test_mean_square_oracle import mean_square_curve
 from test_one_step_mean_square import one_step_factor
 
 SMALL, LARGE = 1e-3, 1e12
@@ -122,6 +123,41 @@ def test_tamed_schemes_grow_far_out_at_every_stepsize(scheme, a, b, c):
         factor = one_step_factor(problem, scheme, LARGE, h)
         assert factor == pytest.approx(1 + b_sq * h + quartic, rel=1e-8), h
         assert factor > 1.0, h
+
+
+@pytest.mark.parametrize(
+    "h, values, rate",
+    [(0.1, (3.789e-2, 1.780e-2, 3.926e-3), -0.151136), (0.125, (0.2075, 0.2833, 0.528), 0.062257)],
+    ids=["h0.1", "h0.125"],
+)
+def test_whole_curves_cross_the_exact_threshold_below_the_coded_one(h, values, rate):
+    """(a, b^2, c) = (-2, 3, 1) from x0 = 1: the exact semi-tamed Milstein
+    threshold is 2/17, the coded h* is 0.25. The exact mean square at t = 5,
+    10 and 20 decays at h = 0.1 and grows at h = 0.125, and over the last 10
+    steps it changes at the linear rate ``ln R_M(h) / h``."""
+    a, b, c = MEMBERS[-1]
+    steps = round(20 / h)
+    curve = mean_square_curve(make_quintic(a, b, c), "semi-tamed-milstein", h, steps)
+    for t, value in zip((5, 10, 20), values):
+        assert curve[round(t / h)] == pytest.approx(value, rel=1e-3), t
+    linear_rate = math.log(linear_factor(a, b, h, milstein=True)) / h
+    assert math.log(curve[-1] / curve[-11]) / (10 * h) == pytest.approx(linear_rate, rel=1e-6)
+    assert linear_rate == pytest.approx(rate, abs=1e-6)
+
+
+# the first two random members, both stable
+@pytest.mark.parametrize("a, b, c", MEMBERS[0:4:2], ids=MEMBER_IDS[0:4:2])
+def test_whole_curves_decay_below_and_grow_above_the_exact_threshold(a, b, c):
+    """From x0 = 1 the exact mean square at the first gridpoint with t >= 20
+    lies below its mid-run value at 0.8 times semi-tamed Milstein's exact
+    threshold, and above it at 1.25 times."""
+    assert 2 * a + b * b < 0
+    problem = make_quintic(a, b, c)
+    for factor, decays in ((0.8, True), (1.25, False)):
+        h = factor * exact_threshold(a, b, milstein=True)
+        steps = math.ceil(20 / h)
+        curve = mean_square_curve(problem, "semi-tamed-milstein", h, steps)
+        assert (curve[-1] < curve[steps // 2]) == decays, factor
 
 
 @pytest.mark.xfail(
